@@ -203,62 +203,51 @@ void StorePlugin::run(PluginContext& context) {
   ScheduleGuard guard(*node.scheduler, node.node_id);
   const double waited = wait.elapsed_seconds();
 
+  // Durability is counted here and only here, once the backend has
+  // answered: asynchronously at *drain* time behind write-behind (an
+  // enqueued image a full disk later rejects must not show up as a file
+  // written), synchronously on the inline path.
   const std::uint64_t image_bytes = image.size();
+  ServerStats* server_stats = context.stats;  // outlives the final drain
+  auto on_complete = [this, server_stats, image_bytes](const Status& st) {
+    MutexLock lock(mutex_);
+    if (!st.is_ok()) {
+      ++totals_.failed_writes;
+      // Make the drop visible to whoever reads the run's stats: a
+      // non-zero storage_failures says "completed but not fully
+      // persisted".  (The queue already logged the Status.)
+      if (server_stats != nullptr) ++server_stats->storage_failures;
+      return;
+    }
+    ++totals_.files;
+    totals_.stored_bytes += image_bytes;
+    if (server_stats != nullptr) {
+      server_stats->bytes_written += image_bytes;
+      ++server_stats->files_written;
+    }
+  };
   Stopwatch io;
   if (node.write_behind != nullptr) {
     // Async emit: hand the image to the write-behind queue and return, so
     // iteration completion (and the block release that returns credit to
     // clients) never waits on the disk.  A full queue blocks here — the
-    // pipeline stall *is* the backpressure path.  Durability is counted
-    // at *drain* time through the completion hook: an enqueued image a
-    // full disk later rejects must not show up as a file written.
-    storage::WriteBehind::Job job;
-    job.path = path;
-    job.stripe_count = node.config.storage().stripe_count;
-    job.image = std::move(image);
-    ServerStats* server_stats = context.stats;  // outlives the final drain
-    job.on_complete = [this, server_stats, image_bytes](const Status& st) {
-      MutexLock lock(mutex_);
-      if (!st.is_ok()) {
-        ++totals_.failed_writes;
-        // Make the drop visible to whoever reads the run's stats: a
-        // non-zero storage_failures says "completed but not fully
-        // persisted".  (The queue already logged the Status.)
-        if (server_stats != nullptr) ++server_stats->storage_failures;
-        return;
-      }
-      ++totals_.files;
-      totals_.stored_bytes += image_bytes;
-      if (server_stats != nullptr) {
-        server_stats->bytes_written += image_bytes;
-        ++server_stats->files_written;
-      }
-    };
-    node.write_behind->enqueue(std::move(job));
+    // pipeline stall *is* the backpressure path.
+    node.write_behind->enqueue({path, node.config.storage().stripe_count,
+                                std::move(image), std::move(on_complete)});
   } else {
     const Status st = storage::write_image(
         *node.storage, path, image, node.config.storage().stripe_count);
     if (!st.is_ok())
       DEDICORE_LOG(kError) << "store plugin: " << st.to_string();
     DEDICORE_CHECK(st.is_ok(), "store plugin: storage write failed (see log)");
+    on_complete(st);
   }
   const double io_seconds = io.elapsed_seconds();
 
-  const bool persisted_inline = node.write_behind == nullptr;
-  {
-    MutexLock lock(mutex_);
-    totals_.raw_bytes += raw_bytes;
-    totals_.write_seconds += io_seconds;
-    totals_.schedule_wait_seconds += waited;
-    if (persisted_inline) {
-      ++totals_.files;
-      totals_.stored_bytes += image_bytes;
-    }
-  }
-  if (persisted_inline && context.stats != nullptr) {
-    context.stats->bytes_written += image_bytes;
-    ++context.stats->files_written;
-  }
+  MutexLock lock(mutex_);
+  totals_.raw_bytes += raw_bytes;
+  totals_.write_seconds += io_seconds;
+  totals_.schedule_wait_seconds += waited;
 }
 
 StorePlugin::Totals StorePlugin::totals() const {
@@ -472,7 +461,6 @@ void VisLitePlugin::run(PluginContext& context) {
 
   std::uint64_t triangles = 0;
   std::uint64_t rendered = 0;
-  std::uint64_t images = 0;
   for (const BlockInfo& block : blocks) {
     const std::vector<double> values = block_as_doubles(context, block);
     viz::GridView grid{values, layout.extents[0], layout.extents[1],
@@ -497,30 +485,25 @@ void VisLitePlugin::run(PluginContext& context) {
           std::to_string(context.iteration) + "_r" +
           std::to_string(block.source) + "_b" + std::to_string(block.block_id) +
           ".ppm";
+      // A frame counts once written; a failed frame is a dropped frame
+      // (logged by whoever wrote it), not a dead run.
+      auto on_complete = [this](const Status& st) {
+        if (!st.is_ok()) return;
+        MutexLock lock(mutex_);
+        ++totals_.images_written;
+      };
       std::vector<std::byte> ppm = result.image.encode_ppm();
       if (node.write_behind != nullptr) {
         // Same async emit as the store plugin: a rendered frame must not
-        // gate iteration completion on disk latency, and a failed frame
-        // is a dropped frame (counted at drain time), not a dead run.
-        storage::WriteBehind::Job job;
-        job.path = path;
-        job.image = std::move(ppm);
-        job.on_complete = [this](const Status& st) {
-          if (!st.is_ok()) return;  // the queue logged and counted the drop
-          MutexLock lock(mutex_);
-          ++totals_.images_written;
-        };
-        node.write_behind->enqueue(std::move(job));
+        // gate iteration completion on disk latency.
+        node.write_behind->enqueue(
+            {path, 0, std::move(ppm), std::move(on_complete)});
       } else {
         const Status st = storage::write_image(*node.storage, path, ppm);
-        if (st.is_ok()) {
-          ++images;
-        } else {
-          // Rendered images are auxiliary output: log the drop and keep
-          // the run (and images_written honest) instead of aborting.
+        if (!st.is_ok())
           DEDICORE_LOG(kError) << "vislite plugin: dropping '" << path
                                << "': " << st.to_string();
-        }
+        on_complete(st);
       }
     }
   }
@@ -529,7 +512,6 @@ void VisLitePlugin::run(PluginContext& context) {
   ++totals_.invocations;
   totals_.blocks_rendered += rendered;
   totals_.triangles += triangles;
-  totals_.images_written += images;
   totals_.pipeline_seconds += timer.elapsed_seconds();
 }
 

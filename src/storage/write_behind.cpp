@@ -9,6 +9,18 @@
 
 namespace dedicore::storage {
 
+/// What every entry of one image shares.  `remaining` and `first_error`
+/// are guarded by write_behind.state: the entry that drops `remaining` to
+/// zero completes the image.
+struct WriteBehind::Ticket {
+  std::string path;
+  int stripe_count = 0;
+  std::shared_ptr<const ChunkPlan> plan;  ///< sharded images only
+  std::function<void(const Status&)> on_complete;
+  std::size_t remaining = 0;
+  Status first_error;
+};
+
 WriteBehind::WriteBehind(StorageBackend& backend, std::uint64_t budget_bytes,
                          int retries,
                          std::shared_ptr<fault::FaultInjector> faults)
@@ -18,9 +30,9 @@ WriteBehind::WriteBehind(StorageBackend& backend, std::uint64_t budget_bytes,
       faults_(std::move(faults)) {
   DEDICORE_CHECK(budget_bytes_ > 0, "WriteBehind: budget must be positive");
   DEDICORE_CHECK(retries_ >= 1, "WriteBehind: retry budget must be >= 1");
-  // A sharded backend turns image jobs into chunk jobs (see enqueue), so
-  // concurrent drainers spread one image's chunks across roots in
-  // parallel instead of serializing the whole image on one thread.
+  // A sharded backend turns an image into one entry per chunk (see
+  // enqueue), so concurrent drainers spread one image's chunks across
+  // roots in parallel instead of serializing the whole image on one thread.
   sharded_ = dynamic_cast<ShardedBackend*>(&backend_);
 }
 
@@ -34,105 +46,55 @@ void WriteBehind::enqueue(Job job) {
     if (auto fired = faults_->fire("write_behind.enqueue_stall"))
       std::this_thread::sleep_for(std::chrono::microseconds(fired->magnitude));
   }
-  if (sharded_ != nullptr && !job.perform) {
-    enqueue_sharded(std::move(job));
-    return;
-  }
-  enqueue_one(std::move(job));
-}
-
-void WriteBehind::enqueue_sharded(Job job) {
-  // Freeze the layout now — placement advances in enqueue order, which is
-  // the producers' program order, so twin runs plan identical layouts no
-  // matter how the chunks later drain.
-  auto plan = sharded_->plan_image(job.path, job.image);
-  ShardedBackend* sharded = sharded_;
-  if (plan->chunk_count() == 0) {
-    // Empty image: no stripes, just the (visible-making) manifest.
-    Job only;
-    only.path = job.path;
-    only.perform = [sharded, plan](double* seconds) {
-      if (seconds != nullptr) *seconds = 0.0;
-      return sharded->publish_manifest(*plan);
-    };
-    only.on_complete = std::move(job.on_complete);
-    enqueue_one(std::move(only));
-    return;
-  }
-  // Slice the image into per-chunk buffers: each chunk job owns exactly
-  // its stripe, so its memory is returned the moment it drains and
-  // resident bytes track pending_bytes_.  (Sharing one full-image buffer
-  // across the chunk jobs would pin the whole image until its LAST chunk
-  // drains while the budget shares release per chunk — residency could
-  // overshoot budget_bytes by nearly a full image per in-flight image.)
-  std::vector<std::shared_ptr<const std::vector<std::byte>>> slices;
-  slices.reserve(plan->chunk_count());
-  for (std::size_t i = 0; i < plan->chunk_count(); ++i) {
-    const std::byte* base = job.image.data() + plan->offset_of(i);
-    slices.push_back(std::make_shared<const std::vector<std::byte>>(
-        base, base + plan->sizes[i]));
-  }
-  // Free the full image before admission — enqueue_one below can block on
-  // the budget (or drain jobs inline), and the image has been copied out.
-  job.image = std::vector<std::byte>();
-  // One queue entry per chunk, plus a shared countdown ticket.  The
-  // drainer that completes the last chunk publishes the manifest (still
-  // on a drainer thread, under the serialized-callback lock) and fires
-  // the producer's on_complete exactly once with the aggregate verdict.
-  // Any chunk failure — including a quarantined poison chunk — withholds
-  // the manifest, so readers never see a partially-written image.
-  struct Ticket {
-    std::size_t remaining = 0;
-    Status first_error;
-    std::function<void(const Status&)> on_complete;
-  };
   auto ticket = std::make_shared<Ticket>();
-  ticket->remaining = plan->chunk_count();
+  ticket->path = std::move(job.path);
+  ticket->stripe_count = job.stripe_count;
   ticket->on_complete = std::move(job.on_complete);
-  for (std::size_t i = 0; i < plan->chunk_count(); ++i) {
-    Job chunk;
-    chunk.path = job.path + "#chunk-" + std::to_string(i);
-    chunk.charge_bytes = plan->sizes[i];
-    chunk.perform = [sharded, plan, slice = slices[i], i](double* seconds) {
-      return sharded->write_chunk(*plan, i,
-                                  std::span<const std::byte>(*slice),
-                                  seconds);
-    };
-    chunk.on_complete = [sharded, plan, ticket](const Status& st) {
-      // Serialized by callback_mutex_: the countdown and first_error need
-      // no extra synchronization.
-      if (!st.is_ok() && ticket->first_error.is_ok())
-        ticket->first_error = st;
-      if (--ticket->remaining != 0) return;
-      Status verdict = ticket->first_error;
-      if (verdict.is_ok())
-        verdict = sharded->publish_manifest(*plan);
-      else
-        DEDICORE_LOG(kError)
-            << "write-behind: withholding manifest for '" << plan->path
-            << "' after a chunk failure: " << verdict.to_string();
-      if (ticket->on_complete) ticket->on_complete(verdict);
-    };
-    enqueue_one(std::move(chunk));
+  std::vector<Entry> entries;
+  if (sharded_ == nullptr) {
+    entries.push_back(Entry{ticket, 0, std::move(job.image)});
+  } else {
+    // Freeze the layout now — placement advances in enqueue order, which
+    // is the producers' program order, so twin runs plan identical
+    // layouts no matter how the chunks later drain.
+    auto plan = sharded_->plan_image(ticket->path, job.image);
+    // Each entry owns exactly its stripe, so its memory is returned the
+    // moment it drains and resident bytes track pending_bytes_.  (Sharing
+    // one full-image buffer would pin the whole image until its LAST
+    // chunk drains while the budget shares release per chunk.)
+    for (std::size_t i = 0; i < plan->chunk_count(); ++i) {
+      const std::byte* base = job.image.data() + plan->offset_of(i);
+      entries.push_back(Entry{
+          ticket, i, std::vector<std::byte>(base, base + plan->sizes[i])});
+    }
+    // An empty image has no stripe but still one entry: its completion
+    // publishes the manifest that makes the image visible.
+    if (entries.empty()) entries.push_back(Entry{ticket, 0, {}});
+    ticket->plan = std::move(plan);
+    // Free the full image before admission — admit() can block on the
+    // budget (or drain entries inline), and the stripes have been copied.
+    job.image = std::vector<std::byte>();
   }
+  ticket->remaining = entries.size();
+  for (Entry& entry : entries) admit(std::move(entry));
 }
 
-void WriteBehind::enqueue_one(Job job) {
+void WriteBehind::admit(Entry entry) {
+  const std::uint64_t bytes = entry.bytes.size();
   Stopwatch blocked;
   for (;;) {
     UniqueLock lock(mutex_);
     DEDICORE_CHECK(!closed_, "WriteBehind: enqueue after close");
     // Admit when the budget has room — or when nothing is pending at all,
-    // so an oversized job is let in alone and can never wait on itself.
-    if (pending_bytes_ + job.bytes() <= budget_bytes_ ||
-        pending_bytes_ == 0) {
+    // so an oversized entry is let in alone and can never wait on itself.
+    if (pending_bytes_ + bytes <= budget_bytes_ || pending_bytes_ == 0) {
       stats_.enqueue_block_seconds += blocked.elapsed_seconds();
-      pending_bytes_ += job.bytes();
+      pending_bytes_ += bytes;
       stats_.max_pending_bytes =
           std::max(stats_.max_pending_bytes, pending_bytes_);
       ++stats_.jobs_enqueued;
-      stats_.bytes_enqueued += job.bytes();
-      queue_.push_back(std::move(job));
+      stats_.bytes_enqueued += bytes;
+      queue_.push_back(std::move(entry));
       idle_.notify_all();  // a parked drain_all re-arms its pop loop
       return;
     }
@@ -144,7 +106,7 @@ void WriteBehind::enqueue_one(Job job) {
       // the server's pipeline mutex), so it frees the budget itself.
       // The stall is still real backpressure: the producer is doing disk
       // time instead of completing its iteration.
-      Job head = std::move(queue_.front());
+      Entry head = std::move(queue_.front());
       queue_.pop_front();
       ++in_flight_;
       lock.unlock();
@@ -153,7 +115,7 @@ void WriteBehind::enqueue_one(Job job) {
     }
     // Every pending byte is in flight on another drainer; those writes
     // finish without any help from us — park until one returns budget.
-    while (!closed_ && pending_bytes_ + job.bytes() > budget_bytes_ &&
+    while (!closed_ && pending_bytes_ + bytes > budget_bytes_ &&
            pending_bytes_ != 0 && queue_.empty())
       space_.wait(lock);
     // Loop re-checks closed_ (fatal: enqueue-after-close) and re-evaluates
@@ -161,7 +123,7 @@ void WriteBehind::enqueue_one(Job job) {
   }
 }
 
-bool WriteBehind::pop(Job* out) {
+bool WriteBehind::pop(Entry* out) {
   MutexLock lock(mutex_);
   if (queue_.empty()) return false;
   *out = std::move(queue_.front());
@@ -170,34 +132,39 @@ bool WriteBehind::pop(Job* out) {
   return true;
 }
 
-void WriteBehind::write_out(Job job) {
+void WriteBehind::write_out(Entry entry) {
+  Ticket& ticket = *entry.ticket;
+  const ChunkPlan* plan = ticket.plan.get();
+  const std::string name =
+      plan == nullptr ? ticket.path
+                      : ticket.path + "#chunk-" + std::to_string(entry.chunk);
   Stopwatch timer;
-  double write_seconds = 0.0;
   // Transient (kIoError) failures are retried with bounded exponential
   // backoff: 1 ms doubling to a 50 ms cap, at most `retries_` total
   // attempts.  Anything else — bad path, stale handle — is deterministic
-  // and fails immediately.  A job that exhausts the budget is poison:
-  // dropped (callback still runs with the failure) so it can never wedge
-  // drain_all, the idle hook, or shutdown.
+  // and fails immediately.  An entry that exhausts the budget is poison:
+  // dropped (its image still completes, with the failure) so it can
+  // never wedge drain_all, the idle hook, or shutdown.
   Status st;
   int attempts = 0;
   std::uint64_t retries_used = 0;
   for (;;) {
     ++attempts;
     if (faults_ != nullptr && faults_->should_fire("write_behind.write"))
-      st = Status::io_error("write-behind '" + job.path + "': injected EIO");
-    else if (job.perform)
-      st = job.perform(&write_seconds);
+      st = Status::io_error("write-behind '" + name + "': injected EIO");
+    else if (plan == nullptr)
+      st = write_image(backend_, ticket.path, entry.bytes, ticket.stripe_count);
+    else if (plan->chunk_count() == 0)
+      st = Status::ok();  // empty image: nothing to write but the manifest
     else
-      st = write_image(backend_, job.path, job.image, job.stripe_count,
-                       &write_seconds);
+      st = sharded_->write_chunk(*plan, entry.chunk, entry.bytes);
     if (st.is_ok() || st.code() != StatusCode::kIoError ||
         attempts >= retries_)
       break;
     ++retries_used;
     const std::int64_t backoff_ms =
         attempts >= 7 ? 50 : (std::int64_t{1} << (attempts - 1));
-    DEDICORE_LOG(kWarn) << "write-behind: transient failure on '" << job.path
+    DEDICORE_LOG(kWarn) << "write-behind: transient failure on '" << name
                         << "' (attempt " << attempts << "/" << retries_
                         << "): " << st.to_string() << "; retrying in "
                         << backoff_ms << "ms";
@@ -207,66 +174,85 @@ void WriteBehind::write_out(Job job) {
   const double drained_in = timer.elapsed_seconds();
 
   if (quarantined)
-    DEDICORE_LOG(kError) << "write-behind: quarantining poison job '"
-                         << job.path << "' after " << attempts
+    DEDICORE_LOG(kError) << "write-behind: quarantining poison job '" << name
+                         << "' after " << attempts
                          << " attempt(s): " << st.to_string();
   else if (!st.is_ok())
-    DEDICORE_LOG(kError) << "write-behind: dropping '" << job.path
+    DEDICORE_LOG(kError) << "write-behind: dropping '" << name
                          << "': " << st.to_string();
-  if (job.on_complete) {
-    // Outside mutex_ (the callback may take producer locks) but
-    // serialized against other callbacks, so producers can account
-    // without guarding against concurrent drainers themselves.
-    MutexLock serialize(callback_mutex_);
-    job.on_complete(st);
+
+  // The entry's budget share is released only now, after the backend
+  // call and together with its memory: in-flight bytes still occupy
+  // memory, so they must still count against the producers.
+  const std::uint64_t bytes = entry.bytes.size();
+  entry.bytes = std::vector<std::byte>();
+  bool last = false;
+  Status verdict;
+  {
+    MutexLock lock(mutex_);
+    DEDICORE_CHECK(pending_bytes_ >= bytes,
+                   "WriteBehind: pending-byte accounting underflow");
+    pending_bytes_ -= bytes;
+    stats_.drain_seconds += drained_in;
+    stats_.retries += retries_used;
+    if (st.is_ok()) {
+      ++stats_.jobs_written;
+      stats_.bytes_written += bytes;
+    } else {
+      ++stats_.jobs_failed;
+      if (quarantined) ++stats_.jobs_quarantined;
+      if (ticket.first_error.is_ok()) ticket.first_error = st;
+    }
+    last = --ticket.remaining == 0;
+    verdict = ticket.first_error;
+    space_.notify_all();
+  }
+
+  if (last) {
+    // This drainer finished the image.  A sharded image becomes visible
+    // only now, through its manifest — and never after a chunk failure
+    // (a quarantined poison chunk included), so readers cannot see a
+    // partially-written image.
+    if (plan != nullptr && verdict.is_ok())
+      verdict = sharded_->publish_manifest(*plan);
+    else if (plan != nullptr)
+      DEDICORE_LOG(kError)
+          << "write-behind: withholding manifest for '" << ticket.path
+          << "' after a chunk failure: " << verdict.to_string();
+    if (ticket.on_complete) {
+      // Serialized against other callbacks, so producers can account
+      // without guarding against concurrent drainers themselves.
+      MutexLock serialize(callback_mutex_);
+      ticket.on_complete(verdict);
+    }
   }
 
   MutexLock lock(mutex_);
-  // The job's budget share is released only now, after the backend call:
-  // in-flight images still occupy memory, so they must still count
-  // against the producers.
-  DEDICORE_CHECK(pending_bytes_ >= job.bytes(),
-                 "WriteBehind: pending-byte accounting underflow");
-  pending_bytes_ -= job.bytes();
   --in_flight_;
-  stats_.drain_seconds += drained_in;
-  stats_.retries += retries_used;
-  if (st.is_ok()) {
-    ++stats_.jobs_written;
-    stats_.bytes_written += job.bytes();
-  } else {
-    ++stats_.jobs_failed;
-    if (quarantined) ++stats_.jobs_quarantined;
-  }
-  space_.notify_all();
   idle_.notify_all();
 }
 
 std::size_t WriteBehind::drain_some(std::size_t max_jobs) {
   std::size_t written = 0;
-  Job job;
-  while (written < max_jobs && pop(&job)) {
-    write_out(std::move(job));
+  Entry entry;
+  while (written < max_jobs && pop(&entry)) {
+    write_out(std::move(entry));
     ++written;
-    job = Job{};
   }
   return written;
 }
 
 bool WriteBehind::try_drain_one() {
-  Job job;
-  if (!pop(&job)) return false;
-  write_out(std::move(job));
+  Entry entry;
+  if (!pop(&entry)) return false;
+  write_out(std::move(entry));
   return true;
 }
 
 void WriteBehind::drain_all() {
   for (;;) {
-    Job job;
-    while (pop(&job)) {
-      write_out(std::move(job));
-      job = Job{};
-    }
+    Entry entry;
+    while (pop(&entry)) write_out(std::move(entry));
     // Jobs another drainer popped may still be mid-write: wait them out,
     // so a caller returning from drain_all knows every enqueued image has
     // been attempted and its completion callback has run — a server's
@@ -282,11 +268,8 @@ void WriteBehind::drain_all() {
 
 void WriteBehind::close() {
   {
+    // Idempotent: a repeated close still owes the final drain below.
     MutexLock lock(mutex_);
-    if (closed_) {
-      // Idempotent close still owes a final drain below (a racing enqueue
-      // cannot exist: producers crash on enqueue-after-close).
-    }
     closed_ = true;
     space_.notify_all();
   }

@@ -4,7 +4,7 @@
 // completion path* (which releases segment space / flow credit back to
 // clients) to disk latency.  With write-behind, the plugin enqueues the
 // finalized h5lite image and returns; server workers drain the queue and
-// perform the real create/write/close.  The queue is bounded by a byte
+// do the real create/write/close.  The queue is bounded by a byte
 // budget: when a slow disk lets pending images accumulate past the budget,
 // enqueue() blocks — the pipeline stalls, iterations stop completing,
 // blocks stay resident, and the existing credit/segment backpressure
@@ -27,6 +27,8 @@
 
 namespace dedicore::storage {
 
+/// A "job" is one queue entry: a plain image counts once, a sharded image
+/// once per chunk.
 struct WriteBehindStats {
   std::uint64_t jobs_enqueued = 0;
   std::uint64_t jobs_written = 0;
@@ -46,15 +48,14 @@ struct WriteBehindStats {
   std::uint64_t max_pending_bytes = 0; ///< high-water mark of the queue
 };
 
-class ShardedBackend;  // sharded_backend.hpp; enables chunk-granular jobs
+class ShardedBackend;  // sharded_backend.hpp; enables chunk-granular entries
 
 class WriteBehind {
  public:
+  /// What a producer hands over: an image to persist, optionally with a
+  /// completion hook.
   struct Job {
     Job() = default;
-    /// Producer form: an image to persist (optionally with a completion
-    /// hook).  Kept as a constructor so the `perform`/`charge_bytes`
-    /// internals below stay invisible to producer call sites.
     Job(std::string path_in, int stripes, std::vector<std::byte> image_in,
         std::function<void(const Status&)> on_complete_in = nullptr)
         : path(std::move(path_in)),
@@ -65,21 +66,12 @@ class WriteBehind {
     std::string path;
     int stripe_count = 0;
     std::vector<std::byte> image;
-    /// Invoked once with the backend's verdict after the write attempt
+    /// Invoked once with the image's verdict after its last entry drained
     /// (any drainer thread; callbacks across the queue are serialized, so
     /// shared accounting inside needs no extra locking against other
     /// callbacks).  Producers use it to count durability at *drain* time
     /// — an enqueue is a promise, not a persisted file.
     std::function<void(const Status&)> on_complete;
-    /// Internal (chunk-granular splitting): when set, the drain runs this
-    /// instead of write_image and `charge_bytes` is the job's budget
-    /// share.  Producers leave both empty.
-    std::function<Status(double*)> perform;
-    std::uint64_t charge_bytes = 0;
-
-    [[nodiscard]] std::uint64_t bytes() const noexcept {
-      return perform ? charge_bytes : image.size();
-    }
   };
 
   /// `budget_bytes` bounds the pending (not yet drained) image bytes; a
@@ -100,31 +92,34 @@ class WriteBehind {
   WriteBehind(const WriteBehind&) = delete;
   WriteBehind& operator=(const WriteBehind&) = delete;
 
-  /// Queues the job.  While the byte budget is exhausted the caller is
-  /// held up (backpressure) — but never parked helplessly: if queued work
-  /// exists, the producer drains it itself (it may be the only thread
-  /// able to reach a drain site, e.g. a plugin firing repeatedly under
-  /// the server's pipeline mutex), and it only sleeps when every pending
-  /// byte is in flight on another drainer.  Deadlock-free by
-  /// construction.  Fatal after close().
+  /// Queues the image as one ticket of chunk entries.  A plain backend's
+  /// image is a one-chunk ticket: a single entry that takes the image
+  /// over without a copy.  A sharded backend's image is planned here
+  /// (plan_image, so placement is deterministic in enqueue order no
+  /// matter how drains interleave) and becomes one entry per stripe, each
+  /// owning its own copy of the stripe so memory is freed chunk-by-chunk
+  /// as the queue drains (residency tracks the byte budget) and
+  /// concurrent drainers write one image's chunks to different roots in
+  /// parallel.  Every entry is budgeted, retried and quarantined on its
+  /// own; the drainer that finishes an image's last entry publishes it (a
+  /// sharded image's manifest, withheld if any chunk failed, so a
+  /// partially-failed image is never visible) and fires on_complete once
+  /// with the image's verdict.
   ///
-  /// Sharded backends make jobs CHUNK-GRANULAR: an image job is split at
-  /// enqueue time into one queue entry per chunk (layout frozen here via
-  /// plan_image, so placement is deterministic in enqueue order no matter
-  /// how drains interleave), each owning its own slice of the image so
-  /// memory is freed chunk-by-chunk as the queue drains (residency tracks
-  /// the byte budget), concurrent drainers then write chunks of the
-  /// same image to different roots in parallel, and the drainer that
-  /// completes the image's last chunk publishes the manifest and fires
-  /// the producer's on_complete once with the aggregate verdict.  Chunk
-  /// jobs retry/quarantine individually; a quarantined chunk withholds
-  /// the manifest, so a partially-failed image is never visible.
+  /// While the byte budget is exhausted the caller is held up
+  /// (backpressure) — but never parked helplessly: if queued work exists,
+  /// the producer drains it itself (it may be the only thread able to
+  /// reach a drain site, e.g. a plugin firing repeatedly under the
+  /// server's pipeline mutex), and it only sleeps when every pending byte
+  /// is in flight on another drainer.  Deadlock-free by construction.
+  /// Fatal after close().
   void enqueue(Job job);
 
-  /// Drains up to `max_jobs` pending jobs on the calling thread (server
-  /// workers call this opportunistically after completing an iteration's
-  /// pipeline).  Returns the number of jobs written.  Concurrent callers
-  /// drain disjoint jobs.
+  /// Drains up to `max_jobs` pending jobs (queue entries: one chunk of
+  /// an image each) on the calling thread (server workers call this
+  /// opportunistically after completing an iteration's pipeline).
+  /// Returns the number of jobs written.  Concurrent callers drain
+  /// disjoint jobs.
   std::size_t drain_some(std::size_t max_jobs);
 
   /// Non-blocking single-job drain: pops and writes one pending job, or
@@ -147,15 +142,17 @@ class WriteBehind {
   ///    therefore either observes the new state at the predicate check or
   ///    is woken by the notification; there is no window where the state
   ///    changes between the check and the wait registration.
-  ///  * No double count / double drain: a job moves queue_ -> in_flight_
-  ///    exactly once, atomically under mutex_ (pop()), and its budget
-  ///    share and stats are released exactly once, in write_out()'s
-  ///    accounting block.  drain_all never touches a job another drainer
-  ///    popped — it waits for in_flight_ == 0 instead, so no job's
-  ///    on_complete can run twice.
-  ///  * Termination: retries are bounded (poison jobs are quarantined
+  ///  * No double count / double drain: an entry moves queue_ ->
+  ///    in_flight_ exactly once, atomically under mutex_ (pop()), and its
+  ///    budget share, stats and ticket countdown are settled exactly
+  ///    once, in write_out()'s accounting block — so exactly one drainer
+  ///    sees an image's countdown reach zero and completes it.  in_flight_
+  ///    drops only after that completion, and drain_all never touches an
+  ///    entry another drainer popped — it waits for in_flight_ == 0
+  ///    instead, so no on_complete can run twice or after drain_all.
+  ///  * Termination: retries are bounded (poison entries are quarantined
   ///    after the retry budget, never re-enqueued), so every in-flight
-  ///    job finishes in bounded time and in_flight_ is monotonically
+  ///    entry finishes in bounded time and in_flight_ is monotonically
   ///    drained once producers stop; a producer that slips a new job in
   ///    meanwhile re-arms the pop loop instead of being waited on forever.
   void drain_all();
@@ -170,36 +167,45 @@ class WriteBehind {
   [[nodiscard]] StorageBackend& backend() noexcept { return backend_; }
 
  private:
-  /// Pops one job; false when the queue is empty.
-  bool pop(Job* out);
-  void write_out(Job job);
-  /// Admission + bookkeeping shared by whole-image and chunk jobs.
-  void enqueue_one(Job job);
-  /// Splits an image job into per-chunk jobs + a manifest-publishing
-  /// completion ticket (sharded backends only).
-  void enqueue_sharded(Job job);
+  /// One enqueued image, shared by its entries (write_behind.cpp).
+  struct Ticket;
+  /// The one queue entry: chunk `chunk` of the ticket's image, owning
+  /// exactly its bytes (the whole image for a one-chunk ticket).
+  struct Entry {
+    std::shared_ptr<Ticket> ticket;
+    std::size_t chunk = 0;
+    std::vector<std::byte> bytes;
+  };
+
+  /// Budget admission of one entry (the producer drains while full).
+  void admit(Entry entry);
+  /// Pops one entry; false when the queue is empty.
+  bool pop(Entry* out);
+  /// Writes one entry with retry/backoff/quarantine, settles its
+  /// accounting, and completes the image when it was the last entry.
+  void write_out(Entry entry);
 
   StorageBackend& backend_;
   ShardedBackend* sharded_ = nullptr;  ///< non-null when backend_ is sharded
   const std::uint64_t budget_bytes_;
-  const int retries_;  ///< total attempts per job on transient failures
+  const int retries_;  ///< total attempts per entry on transient failures
   std::shared_ptr<fault::FaultInjector> faults_;
 
-  /// Queue + budget + counters.  Never held across a backend call or an
-  /// on_complete callback — write_out releases it before both.
+  /// Queue + budget + counters + every ticket's countdown.  Never held
+  /// across a backend call, a manifest publish or an on_complete callback.
   mutable Mutex mutex_{"write_behind.state"};
   CondVar space_;   ///< producers waiting for budget
   CondVar idle_;    ///< drain_all waiting for in-flight jobs
   /// Serializes on_complete invocations (not the backend writes), so
   /// producer-side accounting never races another drainer's callback.
-  /// Held while the sharded completion ticket publishes its manifest, so
-  /// write_behind.callback sits ABOVE sharded.state / posix.* in the
-  /// hierarchy; it never nests with write_behind.state in either order.
+  /// Held only around the producer's hook: no write-behind or storage
+  /// lock is taken under it, and it never nests with write_behind.state.
   Mutex callback_mutex_{"write_behind.callback"};
-  std::deque<Job> queue_ DEDICORE_GUARDED_BY(mutex_);
+  std::deque<Entry> queue_ DEDICORE_GUARDED_BY(mutex_);
   /// Queued + in-flight drain bytes.
   std::uint64_t pending_bytes_ DEDICORE_GUARDED_BY(mutex_) = 0;
-  /// Jobs popped but not yet written out.
+  /// Entries popped whose write_out has not finished (including the
+  /// completion of the image they were last of).
   int in_flight_ DEDICORE_GUARDED_BY(mutex_) = 0;
   bool closed_ DEDICORE_GUARDED_BY(mutex_) = false;
   WriteBehindStats stats_ DEDICORE_GUARDED_BY(mutex_);

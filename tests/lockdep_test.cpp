@@ -11,8 +11,9 @@
 //  2. Regression runs of the REAL lock stacks under lockdep: the pooled
 //     shm transport draining into a write-behind queue via the idle hook
 //     (the demux.pool -> write_behind.state -> posix.* stack), and the
-//     sharded backend's chunk fan-out with its serialized completion
-//     callbacks (write_behind.callback -> sharded.state -> posix.*).
+//     sharded backend's chunk fan-out, whose last entry publishes the
+//     manifest (sharded.state -> posix.*) with no write-behind lock held
+//     and only then takes write_behind.callback around the producer's hook.
 //     These assert ZERO reports — the codebase's documented hierarchy
 //     (docs/concurrency.md) holds on real interleavings.
 //
@@ -280,11 +281,12 @@ TEST_F(LockdepTest, PooledTransportWithIdleDrainRunsInversionFree) {
       << (reports_.empty() ? "" : reports_[0]);
 }
 
-// The sharded write-behind stack: chunk fan-out with concurrent drainers,
-// completion tickets publishing manifests under the serialized-callback
-// lock — write_behind.callback above sharded.state / placement.state /
-// posix.handles / posix.file, sharded.image above all of them.  Zero
-// reports expected.
+// The sharded write-behind stack: chunk fan-out with concurrent drainers.
+// The drainer finishing an image's last chunk publishes its manifest with
+// no write-behind lock held (sharded.state / placement.state /
+// posix.handles / posix.file nest only among themselves) and takes
+// write_behind.callback only around the producer's hook, so no storage
+// lock is ever acquired under it.  Zero reports expected.
 TEST_F(LockdepTest, ShardedWriteBehindFanOutRunsInversionFree) {
   testing::TempDir dir("lockdep_sharded");
   std::vector<std::filesystem::path> roots;

@@ -10,7 +10,7 @@
 //     TempDir re-read byte-identical to the fsim-produced image, in both
 //     the file-per-process and the collective shared-file layouts.
 //   * WriteBehind: async draining, byte-budget backpressure, shutdown
-//     flush.
+//     flush, empty images — on posix and on sharded roots.
 //   * End to end: a dedicated-cores Runtime with <storage backend="posix">
 //     and server_workers=2 produces the same h5lite files on disk as the
 //     sim-backed twin run, with the write-behind queue drained by the
@@ -415,10 +415,30 @@ TEST(StorageRoundTripTest, SharedFileImagesAreByteIdenticalAcrossBackends) {
 // WriteBehind
 // ---------------------------------------------------------------------------
 
-TEST(WriteBehindTest, DrainWritesEveryEnqueuedImage) {
-  testing::TempDir dir("wb_drain");
-  PosixBackend backend(dir.path());
-  WriteBehind queue(backend, 1 << 20);
+/// One write-behind path, two backends: a posix image is a one-chunk
+/// ticket, a sharded image one entry per stripe.  Every image in this
+/// suite fits in one default 1 MiB stripe, so both backends count one job
+/// per image.
+class WriteBehindTest : public ::testing::TestWithParam<Kind> {
+ protected:
+  WriteBehindTest()
+      : dir_(std::string("wb_") + kind_name(GetParam())),
+        backend_(make_backend()) {}
+
+  std::unique_ptr<StorageBackend> make_backend() const {
+    if (GetParam() == Kind::kPosix)
+      return std::make_unique<PosixBackend>(dir_.path());
+    return std::make_unique<ShardedBackend>(sharded_roots(dir_),
+                                            ShardedOptions{});
+  }
+  StorageBackend& backend() { return *backend_; }
+
+  testing::TempDir dir_;
+  std::unique_ptr<StorageBackend> backend_;  // dies before the TempDir
+};
+
+TEST_P(WriteBehindTest, DrainWritesEveryEnqueuedImage) {
+  WriteBehind queue(backend(), 1 << 20);
 
   for (int i = 0; i < 5; ++i)
     queue.enqueue({"out/f" + std::to_string(i) + ".h5l", 0,
@@ -433,17 +453,15 @@ TEST(WriteBehindTest, DrainWritesEveryEnqueuedImage) {
   EXPECT_EQ(stats.jobs_written, 5u);
   EXPECT_EQ(stats.jobs_failed, 0u);
   EXPECT_EQ(stats.bytes_written, 5u * 2048u);
-  EXPECT_EQ(backend.file_count(), 5u);
+  EXPECT_EQ(backend().file_count(), 5u);
   for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(*backend.read_file("out/f" + std::to_string(i) + ".h5l"),
+    EXPECT_EQ(*backend().read_file("out/f" + std::to_string(i) + ".h5l"),
               pattern_bytes(2048, i));
 }
 
-TEST(WriteBehindTest, FullBudgetMakesTheProducerDrainBeforeEnqueueing) {
-  testing::TempDir dir("wb_pressure");
-  PosixBackend backend(dir.path());
+TEST_P(WriteBehindTest, FullBudgetMakesTheProducerDrainBeforeEnqueueing) {
   // Budget fits exactly one job: the second enqueue finds it exhausted.
-  WriteBehind queue(backend, 1024);
+  WriteBehind queue(backend(), 1024);
 
   queue.enqueue({"a.bin", 0, pattern_bytes(1024)});
   EXPECT_EQ(queue.pending_jobs(), 1u);
@@ -453,33 +471,29 @@ TEST(WriteBehindTest, FullBudgetMakesTheProducerDrainBeforeEnqueueing) {
   // real — it spent the time on disk work — which is exactly the
   // pipeline-slowdown the budget exists to cause.
   queue.enqueue({"b.bin", 0, pattern_bytes(1024, 1)});
-  EXPECT_EQ(backend.file_size("a.bin"), 1024u);
+  EXPECT_EQ(backend().file_size("a.bin"), 1024u);
   EXPECT_EQ(queue.stats().jobs_written, 1u);
   EXPECT_EQ(queue.pending_jobs(), 1u);
 
   queue.drain_all();
-  EXPECT_EQ(backend.file_count(), 2u);
+  EXPECT_EQ(backend().file_count(), 2u);
   EXPECT_EQ(queue.stats().jobs_written, 2u);
   EXPECT_EQ(queue.pending_bytes(), 0u);
 }
 
-TEST(WriteBehindTest, OversizedJobIsAdmittedAlone) {
-  testing::TempDir dir("wb_oversize");
-  PosixBackend backend(dir.path());
-  WriteBehind queue(backend, 64);  // budget smaller than the image
+TEST_P(WriteBehindTest, OversizedJobIsAdmittedAlone) {
+  WriteBehind queue(backend(), 64);  // budget smaller than the image
   queue.enqueue({"big.bin", 0, pattern_bytes(4096)});
   queue.drain_all();
-  EXPECT_EQ(backend.file_size("big.bin"), 4096u);
+  EXPECT_EQ(backend().file_size("big.bin"), 4096u);
   EXPECT_EQ(queue.stats().jobs_written, 1u);
 }
 
-TEST(WriteBehindTest, CompletionHookReportsDrainTimeVerdicts) {
+TEST_P(WriteBehindTest, CompletionHookReportsDrainTimeVerdicts) {
   // Durability is counted when the backend answers, not at enqueue: a
   // job the backend rejects must surface through on_complete (and
   // jobs_failed), never as a phantom success.
-  testing::TempDir dir("wb_verdicts");
-  PosixBackend backend(dir.path());
-  WriteBehind queue(backend, 1 << 20);
+  WriteBehind queue(backend(), 1 << 20);
 
   std::vector<Status> verdicts;
   auto record = [&](const Status& st) { verdicts.push_back(st); };
@@ -493,37 +507,55 @@ TEST(WriteBehindTest, CompletionHookReportsDrainTimeVerdicts) {
   const auto stats = queue.stats();
   EXPECT_EQ(stats.jobs_written, 1u);
   EXPECT_EQ(stats.jobs_failed, 1u);
-  EXPECT_EQ(backend.file_count(), 1u);
+  EXPECT_EQ(backend().file_count(), 1u);
 }
 
-TEST(WriteBehindTest, ProducerDrainsItselfWhenNoDrainerCanRun) {
+TEST_P(WriteBehindTest, ProducerDrainsItselfWhenNoDrainerCanRun) {
   // A producer that is the only live thread must never park on a full
   // budget (the old formulation deadlocked here: nobody else could ever
   // reach a drain site).  With a budget below one image it drains the
   // queued job itself and proceeds.
-  testing::TempDir dir("wb_self_drain");
-  PosixBackend backend(dir.path());
-  WriteBehind queue(backend, 256);
+  WriteBehind queue(backend(), 256);
   for (int i = 0; i < 3; ++i)
     queue.enqueue({"f" + std::to_string(i) + ".bin", 0, pattern_bytes(1024, i)});
   queue.drain_all();
-  EXPECT_EQ(backend.file_count(), 3u);
+  EXPECT_EQ(backend().file_count(), 3u);
   EXPECT_EQ(queue.stats().jobs_written, 3u);
 }
 
-TEST(WriteBehindTest, CloseFlushesRemainingJobs) {
-  testing::TempDir dir("wb_close");
-  auto backend = std::make_unique<PosixBackend>(dir.path());
+TEST_P(WriteBehindTest, CloseFlushesRemainingJobs) {
   {
-    WriteBehind queue(*backend, 1 << 20);
+    WriteBehind queue(backend(), 1 << 20);
     queue.enqueue({"late.bin", 0, pattern_bytes(512)});
     // Destructor closes and drains.
   }
-  EXPECT_EQ(backend->file_size("late.bin"), 512u);
-  // Cleanup ordering: the backend (holding the root) dies before TempDir
-  // removes the directory — the fixture must not leak it.
-  backend.reset();
+  EXPECT_EQ(backend().file_size("late.bin"), 512u);
 }
+
+TEST_P(WriteBehindTest, EmptyImageIsPublishedAndCompletesOnce) {
+  // A 0-byte image has no stripe to write, yet it is still one entry:
+  // its completion makes the (empty) file visible and fires the hook.
+  WriteBehind queue(backend(), 1 << 20);
+  int completions = 0;
+  Status verdict = Status::internal("never ran");
+  queue.enqueue({"empty.bin", 0, {}, [&](const Status& st) {
+                   verdict = st;
+                   ++completions;
+                 }});
+  queue.drain_all();
+
+  EXPECT_TRUE(backend().exists("empty.bin"));
+  EXPECT_EQ(backend().file_size("empty.bin"), 0u);
+  EXPECT_EQ(completions, 1);
+  EXPECT_OK(verdict);
+  EXPECT_EQ(queue.stats().jobs_written, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, WriteBehindTest,
+                         ::testing::Values(Kind::kPosix, Kind::kSharded),
+                         [](const ::testing::TestParamInfo<Kind>& info) {
+                           return kind_name(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Integrity layer: CRC32C
