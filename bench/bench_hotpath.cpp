@@ -578,7 +578,7 @@ struct CompressionBenchRow {
   std::string codec;
   std::uint64_t raw_bytes = 0;      ///< payload entering the emit stage
   std::uint64_t bytes_to_disk = 0;  ///< posix file bytes actually written
-  double achieved_ratio = 0.0;      ///< ServerStats raw/stored (1.0 = raw)
+  double achieved_ratio = 0.0;      ///< EmitStats raw/stored (1.0 = raw)
   double compress_seconds = 0.0;    ///< dedicated-core time inside codecs
   /// Share of total server-worker time spent compressing — the §IV.D
   /// claim is that this fits inside the 92–99 % idle budget.
@@ -629,13 +629,14 @@ CompressionBenchRow run_compression(const CompressionBenchConfig& cfg,
     core::Runtime rt = core::Runtime::initialize(config, world, unused_fs);
     if (rt.is_server()) {
       rt.run_server();
-      const core::ServerStats& stats = rt.server_stats();
-      row.raw_bytes = stats.emit_raw_bytes;
-      row.achieved_ratio = stats.achieved_ratio();
-      row.compress_seconds = stats.compress_seconds;
+      const core::ServerStats stats = rt.server_stats();
+      const core::EmitStats emit = rt.node().emit->stats();
+      row.raw_bytes = emit.raw_bytes;
+      row.achieved_ratio = emit.achieved_ratio();
+      row.compress_seconds = emit.compress_seconds;
       const double worker_time = stats.idle_seconds + stats.busy_seconds;
       row.spare_time_utilization =
-          worker_time > 0.0 ? stats.compress_seconds / worker_time : 0.0;
+          worker_time > 0.0 ? emit.compress_seconds / worker_time : 0.0;
       return;
     }
     sim::Cm1Proxy proxy(sim::make_cm1_proxy_config(

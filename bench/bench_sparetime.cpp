@@ -82,9 +82,10 @@ CompressionOutcome measure_compression() {
         rt.run_server();
         if (auto* store = dynamic_cast<core::StorePlugin*>(
                 rt.server().find_plugin("end_iteration", "store"))) {
-          const auto t = store->totals();
+          // Payload in (the emit stage's count) over image bytes out.
+          const std::uint64_t raw = rt.node().emit->stats().raw_bytes;
           std::lock_guard<std::mutex> lock(mutex);
-          ratio = compress::compression_ratio(t.raw_bytes, t.stored_bytes);
+          ratio = compress::compression_ratio(raw, store->totals().stored_bytes);
         }
         return;
       }

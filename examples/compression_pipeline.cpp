@@ -58,11 +58,12 @@ RunResult run(const std::string& codec, int iterations, std::uint64_t grid) {
       rt.run_server();
       std::lock_guard<std::mutex> lock(mutex);
       result.idle_fraction = rt.server_stats().idle_fraction();
+      // Payload bytes are the emit stage's count, durable image bytes the
+      // store plugin's.
+      result.raw_bytes = rt.node().emit->stats().raw_bytes;
       if (auto* store = dynamic_cast<core::StorePlugin*>(
-              rt.server().find_plugin("end_iteration", "store"))) {
-        result.raw_bytes = store->totals().raw_bytes;
+              rt.server().find_plugin("end_iteration", "store")))
         result.stored_bytes = store->totals().stored_bytes;
-      }
       return;
     }
     sim::Cm1Proxy proxy(sim::make_cm1_proxy_config(

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/builtin_plugins.hpp"
 #include "core/runtime.hpp"
 #include "fsim/filesystem.hpp"
 #include "minimpi/minimpi.hpp"
@@ -57,19 +58,25 @@ int main() {
 
     if (rt.is_server()) {
       rt.run_server();  // the dedicated I/O node's event loop
-      const auto& stats = rt.server_stats();
+      // Each counter is read from its owner: the event loop, the MPI
+      // transport, and the store plugin.
+      const core::ServerStats stats = rt.server_stats();
+      const transport::TransportStats wire = rt.server().transport_stats();
+      const auto* store = dynamic_cast<const core::StorePlugin*>(
+          rt.server().find_plugin("end_iteration", "store"));
       std::printf(
           "[io-node %d] iterations=%llu blocks_over_mpi=%llu "
           "bytes_over_mpi=%llu files=%llu idle=%.1f%% steals=%llu "
           "idle_drains=%llu\n",
           rt.node_id(),
           static_cast<unsigned long long>(stats.iterations_completed),
-          static_cast<unsigned long long>(stats.blocks_received_remote),
-          static_cast<unsigned long long>(stats.bytes_received_remote),
-          static_cast<unsigned long long>(stats.files_written),
+          static_cast<unsigned long long>(wire.blocks_received_remote),
+          static_cast<unsigned long long>(wire.bytes_received_remote),
+          static_cast<unsigned long long>(
+              store != nullptr ? store->totals().files : 0),
           stats.idle_fraction() * 100.0,
-          static_cast<unsigned long long>(stats.steals),
-          static_cast<unsigned long long>(stats.idle_drain_jobs));
+          static_cast<unsigned long long>(wire.steals),
+          static_cast<unsigned long long>(wire.idle_drains));
       return;
     }
 

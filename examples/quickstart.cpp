@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/builtin_plugins.hpp"
 #include "core/runtime.hpp"
 #include "fsim/filesystem.hpp"
 #include "minimpi/minimpi.hpp"
@@ -59,10 +60,14 @@ int main(int argc, char** argv) {
 
     if (rt.is_server()) {   // damaris-api
       rt.run_server();      // damaris-api — the dedicated core's event loop
-      const auto& stats = rt.server_stats();
+      const core::ServerStats stats = rt.server_stats();
+      // Durable bytes are the store plugin's to count.
+      const auto* store = dynamic_cast<const core::StorePlugin*>(
+          rt.server().find_plugin("end_iteration", "store"));
       std::printf("[server] iterations=%llu bytes_written=%llu idle=%.1f%%\n",
                   static_cast<unsigned long long>(stats.iterations_completed),
-                  static_cast<unsigned long long>(stats.bytes_written),
+                  static_cast<unsigned long long>(
+                      store != nullptr ? store->totals().stored_bytes : 0),
                   stats.idle_fraction() * 100.0);
       return;
     }

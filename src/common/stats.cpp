@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -106,47 +107,77 @@ Summary SampleSet::summary() const {
   return s;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  DEDICORE_CHECK(hi > lo && bins > 0, "Histogram requires hi > lo, bins > 0");
+namespace {
+
+// For a positive double, the IEEE-754 bits shifted right so that only the
+// exponent and the top log2(kSubBuckets) mantissa bits remain grow with
+// the value, one step per sub-bucket: the key's distance from the range
+// floor's key is the bucket index.
+constexpr int kSubBucketBits = 4;
+static_assert(1 << kSubBucketBits == Histogram::kSubBuckets);
+constexpr int kKeyShift = 52 - kSubBucketBits;
+
+constexpr std::uint64_t key_of_power_of_two(int exponent) {
+  return static_cast<std::uint64_t>(1023 + exponent) << kSubBucketBits;
+}
+constexpr std::uint64_t kLowKey = key_of_power_of_two(Histogram::kMinExponent);
+constexpr std::uint64_t kHighKey = key_of_power_of_two(Histogram::kMaxExponent);
+
+double value_of_key(std::uint64_t key) {
+  return std::bit_cast<double>(key << kKeyShift);
+}
+
+}  // namespace
+
+std::size_t Histogram::bucket_of(double x) noexcept {
+  if (!(x > 0.0)) return 0;  // zero, negatives, NaN
+  const std::uint64_t key = std::bit_cast<std::uint64_t>(x) >> kKeyShift;
+  if (key < kLowKey) return 0;
+  if (key >= kHighKey) return kBuckets - 1;
+  return static_cast<std::size_t>(key - kLowKey) + 1;
 }
 
 void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-    ++counts_[idx];
-  }
+  ++counts_[bucket_of(x)];
+  moments_.add(x);
 }
 
-double Histogram::bin_low(std::size_t i) const {
-  DEDICORE_CHECK(i < counts_.size(), "Histogram bin index out of range");
-  return lo_ + bin_width_ * static_cast<double>(i);
+void Histogram::merge(const Histogram& other) noexcept {
+  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  moments_.merge(other.moments_);
 }
 
-std::string Histogram::to_string(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar_len = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    std::snprintf(line, sizeof(line), "[%10.4g,%10.4g) %8llu ",
-                  bin_low(i), bin_low(i) + bin_width_,
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar_len, '#');
-    out += '\n';
+double Histogram::percentile(double q) const {
+  DEDICORE_CHECK(count() > 0, "percentile of an empty histogram");
+  DEDICORE_CHECK(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
+  const auto rank = static_cast<std::uint64_t>(
+      q * static_cast<double>(count() - 1) + 0.5);
+  std::size_t i = 0;
+  std::uint64_t seen = counts_[0];
+  while (seen <= rank) seen += counts_[++i];
+  double estimate = moments_.min();
+  if (i == kBuckets - 1) {
+    estimate = moments_.max();
+  } else if (i > 0) {
+    estimate = 0.5 * (value_of_key(kLowKey + i - 1) + value_of_key(kLowKey + i));
   }
-  return out;
+  return std::clamp(estimate, moments_.min(), moments_.max());
+}
+
+Summary Histogram::summary() const {
+  Summary s;
+  if (count() == 0) return s;
+  s.count = count();
+  s.min = moments_.min();
+  s.p25 = percentile(0.25);
+  s.median = percentile(0.50);
+  s.p75 = percentile(0.75);
+  s.p90 = percentile(0.90);
+  s.p99 = percentile(0.99);
+  s.max = moments_.max();
+  s.mean = moments_.mean();
+  s.stddev = moments_.stddev();
+  return s;
 }
 
 }  // namespace dedicore

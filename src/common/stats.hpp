@@ -1,10 +1,13 @@
-// Statistics collectors used by the benchmark harnesses: streaming
-// mean/variance (Welford), min/max, and percentile summaries of retained
-// samples.  The variability experiment (E2) reports min / median / p99 /
-// max write times per strategy, which is what `SampleSet::summary()`
-// produces.
+// Statistics collectors: streaming mean/variance (Welford), min/max,
+// exact percentile summaries of retained samples, and a fixed-memory
+// log-bucketed histogram.  The variability experiment (E2) reports min /
+// median / p99 / max write times per strategy, which is what
+// `SampleSet::summary()` produces; long-lived objects (clients, servers,
+// the filesystem simulator) summarize their latencies with `Histogram`,
+// whose memory does not grow with the number of samples.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -80,26 +83,40 @@ class SampleSet {
   std::vector<double> samples_;
 };
 
-/// Fixed-bin linear histogram for jitter distribution plots.
+/// Fixed-memory latency histogram, HdrHistogram-style: every power of
+/// two in [2^kMinExponent, 2^kMaxExponent) is split into kSubBuckets
+/// equal-width buckets (with seconds, about 1 ns to 36 h).  Count, min,
+/// max, mean and stddev are exact; percentiles are bucket midpoints
+/// clamped to [min, max], within 1 / (2 * kSubBuckets) ~ 3.1 % relative
+/// error inside the range.  Values below the range (zero and negatives
+/// included) land in the first bucket, values at or above it in the last.
+/// No heap: trivially copyable, a few KiB inline.
 class Histogram {
  public:
-  Histogram(double lo, double hi, std::size_t bins);
+  static constexpr int kMinExponent = -30;
+  static constexpr int kMaxExponent = 17;
+  static constexpr int kSubBuckets = 16;
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kMaxExponent - kMinExponent) * kSubBuckets + 2;
 
   void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_low(std::size_t i) const;
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  void merge(const Histogram& other) noexcept;
 
-  /// ASCII rendering (one line per bin), for bench output.
-  [[nodiscard]] std::string to_string(std::size_t width = 40) const;
+  [[nodiscard]] std::size_t count() const noexcept { return moments_.count(); }
+  /// Samples in bucket `i` (0 = below the range, kBuckets - 1 = above).
+  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
+  [[nodiscard]] static std::size_t bucket_of(double x) noexcept;
+
+  /// Zero Summary when empty.
+  [[nodiscard]] Summary summary() const;
 
  private:
-  double lo_, hi_, bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
+  /// Midpoint of the bucket holding the sample nearest the rank that
+  /// SampleSet::percentile interpolates at, q in [0,1].
+  [[nodiscard]] double percentile(double q) const;
+
+  std::array<std::uint64_t, kBuckets> counts_{};
+  OnlineStats moments_;
 };
 
 }  // namespace dedicore

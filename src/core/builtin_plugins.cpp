@@ -8,7 +8,7 @@
 #include "common/clock.hpp"
 #include "common/log.hpp"
 #include "core/emit_stage.hpp"
-#include "core/server.hpp"
+#include "core/node_runtime.hpp"
 #include "h5lite/h5lite.hpp"
 #include "storage/backend.hpp"
 #include "storage/write_behind.hpp"
@@ -139,11 +139,6 @@ void StorePlugin::run(PluginContext& context) {
   builder.set_attribute(h5lite::FileBuilder::kRoot, "node",
                         static_cast<std::int64_t>(node.node_id));
 
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t emit_stored_bytes = 0;
-  std::uint64_t datasets_compressed = 0;
-  std::uint64_t datasets_stored_raw = 0;
-  double compress_seconds = 0.0;
   bool any = false;
   for (const VariableSpec& var : node.config.variables()) {
     if (!var.store) continue;
@@ -170,29 +165,10 @@ void StorePlugin::run(PluginContext& context) {
       }
       const std::string dataset_name =
           "r" + std::to_string(block.source) + "_b" + std::to_string(block.block_id);
-      const EmitStage::Emitted emitted = emit.emit_dataset(
-          builder, group, dataset_name, layout, view, planned);
-      raw_bytes += emitted.raw_bytes;
-      emit_stored_bytes += emitted.stored_bytes;
-      compress_seconds += emitted.seconds;
-      if (emitted.compressed) {
-        ++datasets_compressed;
-      } else {
-        ++datasets_stored_raw;
-      }
+      emit.emit_dataset(builder, group, dataset_name, layout, view, planned);
     }
   }
   if (!any) return;  // every client skipped this iteration
-
-  if (context.stats != nullptr) {
-    // Serialized per server by the pipeline mutex; the async drain
-    // callbacks touch disjoint ServerStats fields.
-    context.stats->emit_raw_bytes += raw_bytes;
-    context.stats->emit_stored_bytes += emit_stored_bytes;
-    context.stats->datasets_compressed += datasets_compressed;
-    context.stats->datasets_stored_raw += datasets_stored_raw;
-    context.stats->compress_seconds += compress_seconds;
-  }
 
   std::vector<std::byte> image = std::move(builder).finalize();
   const std::string path = basename + "/node" + std::to_string(node.node_id) +
@@ -206,25 +182,18 @@ void StorePlugin::run(PluginContext& context) {
   // Durability is counted here and only here, once the backend has
   // answered: asynchronously at *drain* time behind write-behind (an
   // enqueued image a full disk later rejects must not show up as a file
-  // written), synchronously on the inline path.
+  // written), synchronously on the inline path.  A non-zero failed_writes
+  // says the run completed but is not fully persisted (the queue already
+  // logged the Status).
   const std::uint64_t image_bytes = image.size();
-  ServerStats* server_stats = context.stats;  // outlives the final drain
-  auto on_complete = [this, server_stats, image_bytes](const Status& st) {
+  auto on_complete = [this, image_bytes](const Status& st) {
     MutexLock lock(mutex_);
     if (!st.is_ok()) {
       ++totals_.failed_writes;
-      // Make the drop visible to whoever reads the run's stats: a
-      // non-zero storage_failures says "completed but not fully
-      // persisted".  (The queue already logged the Status.)
-      if (server_stats != nullptr) ++server_stats->storage_failures;
       return;
     }
     ++totals_.files;
     totals_.stored_bytes += image_bytes;
-    if (server_stats != nullptr) {
-      server_stats->bytes_written += image_bytes;
-      ++server_stats->files_written;
-    }
   };
   Stopwatch io;
   if (node.write_behind != nullptr) {
@@ -245,7 +214,6 @@ void StorePlugin::run(PluginContext& context) {
   const double io_seconds = io.elapsed_seconds();
 
   MutexLock lock(mutex_);
-  totals_.raw_bytes += raw_bytes;
   totals_.write_seconds += io_seconds;
   totals_.schedule_wait_seconds += waited;
 }

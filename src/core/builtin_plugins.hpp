@@ -34,12 +34,13 @@ class StorePlugin final : public Plugin {
   [[nodiscard]] std::string_view name() const noexcept override { return "store"; }
   void run(PluginContext& context) override;
 
+  /// Durability of this instance's images.  Payload and codec counters
+  /// live in the node's EmitStats (NodeRuntime::emit->stats()).
   struct Totals {
     std::uint64_t files = 0;         ///< images durably written (counted at
                                      ///< drain time on the write-behind path)
     std::uint64_t failed_writes = 0; ///< images the backend rejected (async
                                      ///< path; logged by the queue)
-    std::uint64_t raw_bytes = 0;     ///< block payloads aggregated
     std::uint64_t stored_bytes = 0;  ///< image bytes persisted (post-codec)
     /// Wall time the pipeline spent emitting: inside backend write calls
     /// on the synchronous (sim) path, inside enqueue() on the write-behind

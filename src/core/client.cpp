@@ -71,40 +71,14 @@ Status Client::write(const std::string& variable,
   }
   std::memcpy(transport_->view(*ref).data(), data.data(), data.size());
 
-  Event event;
-  event.type = EventType::kBlockWritten;
-  event.source = client_index_;
-  event.iteration = iteration_;
-  event.variable = spec.id;
-  event.block_id = block_counters_[spec.id]++;
-  event.block = *ref;
+  AllocatedBlock block;
+  block.block = *ref;
+  block.variable = spec.id;
   for (std::size_t i = 0; i < global_offset.size(); ++i)
-    event.global_offset[i] = global_offset[i];
-
-  if (node_->config.policy() == BackpressurePolicy::kBlock ||
-      (node_->config.policy() == BackpressurePolicy::kAdaptive &&
-       spec.priority > 0)) {
-    if (!transport_->publish(event)) {
-      transport_->abandon(*ref);
-      return Status::closed("event channel closed");
-    }
-  } else {
-    const Status published = transport_->try_publish(event);
-    if (!published) {
-      transport_->abandon(*ref);
-      if (node_->config.policy() == BackpressurePolicy::kAdaptive) {
-        ++dropped_blocks_;
-        return Status::aborted("event channel full; block shed");
-      }
-      skipping_ = true;
-      return Status::aborted("event channel full; iteration dropped");
-    }
-  }
-
-  ++writes_;
-  bytes_written_ += data.size();
-  write_times_.add(timer.elapsed_seconds());
-  return Status::ok();
+    block.global_offset[i] = global_offset[i];
+  const Status published = publish_block(block, spec.priority);
+  if (published) write_times_.add(timer.elapsed_seconds());
+  return published;
 }
 
 AllocatedBlock Client::alloc(const std::string& variable,
@@ -130,7 +104,13 @@ Status Client::commit(const AllocatedBlock& block) {
   Stopwatch timer;
   if (!block.valid())
     return Status::failed_precondition("commit of an invalid AllocatedBlock");
+  const Status published =
+      publish_block(block, node_->config.variable(block.variable).priority);
+  if (published) write_times_.add(timer.elapsed_seconds());
+  return published;
+}
 
+Status Client::publish_block(const AllocatedBlock& block, int priority) {
   Event event;
   event.type = EventType::kBlockWritten;
   event.source = client_index_;
@@ -141,22 +121,24 @@ Status Client::commit(const AllocatedBlock& block) {
   for (std::size_t i = 0; i < 4; ++i)
     event.global_offset[i] = block.global_offset[i];
 
-  if (node_->config.policy() == BackpressurePolicy::kBlock) {
+  const BackpressurePolicy policy = node_->config.policy();
+  if (policy == BackpressurePolicy::kBlock ||
+      (policy == BackpressurePolicy::kAdaptive && priority > 0)) {
     if (!transport_->publish(event)) {
       transport_->abandon(block.block);
       return Status::closed("event channel closed");
     }
-  } else {
-    const Status published = transport_->try_publish(event);
-    if (!published) {
-      transport_->abandon(block.block);
-      skipping_ = true;
-      return Status::aborted("event channel full; iteration dropped");
+  } else if (!transport_->try_publish(event)) {
+    transport_->abandon(block.block);
+    if (policy == BackpressurePolicy::kAdaptive) {
+      ++dropped_blocks_;
+      return Status::aborted("event channel full; block shed");
     }
+    skipping_ = true;
+    return Status::aborted("event channel full; iteration dropped");
   }
   ++writes_;
   bytes_written_ += block.block.size;
-  write_times_.add(timer.elapsed_seconds());
   return Status::ok();
 }
 

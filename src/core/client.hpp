@@ -102,6 +102,12 @@ class Client {
   /// low-priority block under the adaptive policy) on failure.
   std::optional<shm::BlockRef> acquire_block(std::uint64_t size, int priority);
 
+  /// Publishes a filled block per the backpressure policy: blocking under
+  /// kBlock and for adaptive priority > 0, a try-publish otherwise.  A
+  /// refused block is abandoned, then shed (adaptive) or its iteration
+  /// skipped (skip_iteration).
+  Status publish_block(const AllocatedBlock& block, int priority);
+
   std::shared_ptr<NodeRuntime> node_;
   int client_index_;
   std::unique_ptr<transport::ClientTransport> transport_;
@@ -114,8 +120,8 @@ class Client {
   std::uint64_t bytes_written_ = 0;
   std::uint64_t skipped_iterations_ = 0;
   std::uint64_t dropped_blocks_ = 0;
-  SampleSet write_times_;
-  SampleSet end_iteration_times_;
+  Histogram write_times_;
+  Histogram end_iteration_times_;
 };
 
 }  // namespace dedicore::core

@@ -85,8 +85,8 @@ class EmitStage {
                                        compress::CodecId requested,
                                        std::span<const std::byte> sample);
 
-  /// Per-dataset outcome of an emit, for the caller's own accounting
-  /// (ServerStats, plugin totals).
+  /// Per-dataset outcome of an emit, for callers that account per
+  /// dataset (the node-wide totals are already in stats()).
   struct Emitted {
     std::uint64_t raw_bytes = 0;     ///< payload bytes in
     std::uint64_t stored_bytes = 0;  ///< image bytes this dataset added

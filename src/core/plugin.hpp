@@ -29,7 +29,6 @@
 namespace dedicore::core {
 
 struct NodeRuntime;
-struct ServerStats;
 
 /// Everything a plugin may touch when it fires.
 struct PluginContext {
@@ -41,7 +40,6 @@ struct PluginContext {
   Iteration iteration = 0;    ///< iteration the trigger belongs to
   const Event* trigger = nullptr;  ///< the raw event (signals); may be null
   const std::map<std::string, std::string>* params = nullptr;  ///< XML params
-  ServerStats* stats = nullptr;    ///< for accounting bytes written etc.
 
   [[nodiscard]] std::string param_or(const std::string& key,
                                      const std::string& fallback) const {

@@ -227,7 +227,7 @@ void Runtime::run_server() {
   server_->run();
 }
 
-const ServerStats& Runtime::server_stats() const {
+ServerStats Runtime::server_stats() const {
   DEDICORE_CHECK(server_ != nullptr, "Runtime::server_stats on a client rank");
   return server_->stats();
 }

@@ -61,8 +61,9 @@ class Runtime {
   /// server's clients called finalize()/stop().  Server ranks only.
   void run_server();
 
-  /// Server statistics (valid after run_server returned).
-  [[nodiscard]] const ServerStats& server_stats() const;
+  /// The event loop's statistics: a copy, complete once run_server
+  /// returned (see Server::stats).
+  [[nodiscard]] ServerStats server_stats() const;
   [[nodiscard]] Server& server();
 
   /// Shared node state (segment stats, config) — both roles.

@@ -23,6 +23,7 @@ Server::Server(std::shared_ptr<NodeRuntime> node, int server_index,
   // immediately on such a server.
   DEDICORE_CHECK(client_count >= 0, "Server: negative client count");
   DEDICORE_CHECK(worker_count >= 1, "Server: worker count must be >= 1");
+  stats_.workers = worker_count;
   register_builtin_plugins();
   for (const auto& action : node_->config.actions())
     actions_.push_back(BoundAction{action, make_plugin(action.plugin, action.params)});
@@ -39,16 +40,12 @@ Plugin* Server::find_plugin(const std::string& event,
 }
 
 void Server::run() {
-  stats_.workers = worker_count_;
+  std::vector<WorkerLedger> ledgers(static_cast<std::size_t>(worker_count_));
   if (client_count_ > 0) {
     if (worker_count_ == 1) {
       // Classic single-threaded event loop: no pool, no end_of_stream —
       // the loop simply stops once the last client's stop is consumed.
-      WorkerLedger ledger;
-      worker_loop(0, ledger);
-      stats_.idle_seconds += ledger.idle_seconds;
-      stats_.busy_seconds += ledger.busy_seconds;
-      stats_.events_processed += ledger.events;
+      worker_loop(0, ledgers[0]);
     } else {
       transport::WorkerPoolOptions assignment;
       assignment.steal = node_->config.steal_enabled();
@@ -64,8 +61,6 @@ void Server::run() {
         transport_->set_idle_hook(
             [wb = node_->write_behind.get()] { return wb->try_drain_one(); });
       }
-      std::vector<WorkerLedger> ledgers(
-          static_cast<std::size_t>(worker_count_));
       std::vector<std::thread> pool;
       pool.reserve(static_cast<std::size_t>(worker_count_));
       for (int w = 0; w < worker_count_; ++w)
@@ -73,13 +68,6 @@ void Server::run() {
           worker_loop(w, ledgers[static_cast<std::size_t>(w)]);
         });
       for (auto& t : pool) t.join();
-      // The pool has drained: folding ledgers and reading transport stats
-      // below cannot race a live worker.
-      for (const WorkerLedger& ledger : ledgers) {
-        stats_.idle_seconds += ledger.idle_seconds;
-        stats_.busy_seconds += ledger.busy_seconds;
-        stats_.events_processed += ledger.events;
-      }
     }
   }
   // Final drain: the write-behind queue may still hold images enqueued by
@@ -88,20 +76,20 @@ void Server::run() {
   // run_server() sees every file the run produced.
   if (node_->write_behind != nullptr) node_->write_behind->drain_all();
 
-  const transport::TransportStats t = transport_->stats();
-  stats_.blocks_received_remote = t.blocks_received_remote;
-  stats_.bytes_received_remote = t.bytes_received_remote;
-  stats_.steals = t.steals;
-  stats_.idle_drain_jobs = t.idle_drains;
-  // Fold in what the transport's own reclaim freed (the liveness ledger's
-  // acquired-but-unpublished blocks) on top of the indexed blocks the
-  // abort handler dropped.
-  stats_.blocks_reclaimed += t.blocks_reclaimed;
-  stats_.bytes_reclaimed += t.bytes_reclaimed;
-  // Quiescent, but the (uncontended) lock keeps pipeline_times_'s
-  // GUARDED_BY provable.
+  // The pool has joined, so the lock is uncontended here.
   MutexLock state(state_mutex_);
-  stats_.pipeline_time = pipeline_times_.summary();
+  for (const WorkerLedger& ledger : ledgers) {
+    stats_.idle_seconds += ledger.idle_seconds;
+    stats_.busy_seconds += ledger.busy_seconds;
+    stats_.events_processed += ledger.events;
+  }
+}
+
+ServerStats Server::stats() const {
+  MutexLock state(state_mutex_);
+  ServerStats out = stats_;
+  out.pipeline_time = pipeline_times_.summary();
+  return out;
 }
 
 void Server::worker_loop(int worker, WorkerLedger& ledger) {
@@ -223,7 +211,6 @@ void Server::handle_client_abort(int source) {
   {
     MutexLock state(state_mutex_);
     if (!dead_clients_.insert(source).second) return;  // duplicate abort
-    ++stats_.clients_aborted;
   }
   transport_->reclaim_client(source);
 
@@ -274,7 +261,7 @@ void Server::fire(const std::string& event_name, Iteration iteration,
   for (auto& bound : actions_) {
     if (bound.spec.event != event_name) continue;
     PluginContext context{*node_, transport_.get(), server_index_, iteration,
-                          trigger, &bound.spec.params, &stats_};
+                          trigger, &bound.spec.params};
     bound.plugin->run(context);
   }
 }

@@ -22,13 +22,17 @@
 #include "common/stats.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
-#include "compress/codec.hpp"
 #include "core/node_runtime.hpp"
 #include "core/plugin.hpp"
 #include "transport/transport.hpp"
 
 namespace dedicore::core {
 
+/// The event loop's own ledger.  Facts another layer owns are read from
+/// that layer: the transport's (remote payloads, steals, idle drains,
+/// aborts, its own reclaim) through Server::transport_stats(), the
+/// codecs' through NodeRuntime::emit->stats(), durable files and bytes
+/// through the store plugin's totals.
 struct ServerStats {
   /// Worker threads that drained this server's transport (1 = the classic
   /// single-threaded event loop).  idle/busy below are summed across the
@@ -40,53 +44,18 @@ struct ServerStats {
   std::uint64_t events_processed = 0;
   std::uint64_t blocks_received = 0;
   std::uint64_t bytes_received = 0;
-  /// Blocks/bytes whose payload traveled over MPI (dedicated-nodes mode;
-  /// zero on the shared-memory transport, where only handles move).
-  std::uint64_t blocks_received_remote = 0;
-  std::uint64_t bytes_received_remote = 0;
   std::uint64_t iterations_completed = 0;
   std::uint64_t client_skips = 0;      ///< kIterationSkipped events seen
-  /// Work-stealing pool counters (zero with a single worker or steal
-  /// off): clients whose ownership migrated to an idle worker, and
-  /// write-behind jobs drained by workers parked in next_event with
-  /// nothing to consume or steal.
-  std::uint64_t steals = 0;
-  std::uint64_t idle_drain_jobs = 0;
-  std::uint64_t bytes_written = 0;     ///< accounted by storage plugins
-  std::uint64_t files_written = 0;     ///< durably persisted (drain-time on
-                                       ///< the write-behind path)
-  /// Images the storage backend rejected on the async write-behind path
-  /// (disk full, I/O error).  Zero on a healthy run; a non-zero value
-  /// means output was dropped — the run completed but is NOT fully
-  /// persisted.  (The synchronous sim path aborts on the same condition.)
-  std::uint64_t storage_failures = 0;
-  /// Fault tolerance: clients that died mid-run (kClientAborted consumed)
-  /// and the segment blocks / bytes returned by the reclaim path — both
-  /// the indexed blocks dropped under on_client_failure="drop_iteration"
-  /// and the acquired-but-unpublished blocks freed from the transport's
-  /// liveness ledger.
-  std::uint64_t clients_aborted = 0;
+  /// Blocks / bytes this server released for dead clients: zombies
+  /// (published after the abort was consumed) and, under
+  /// on_client_failure="drop_iteration", the corpse's indexed blocks.
   std::uint64_t blocks_reclaimed = 0;
   std::uint64_t bytes_reclaimed = 0;
-  // Emit-path compression (the §IV.D spare-cycle story): dataset payload
-  // bytes that entered this server's transform stage vs the bytes the
-  // codecs left in the images, and the dedicated-core seconds spent
-  // compressing.  emit_raw_bytes counts only store-plugin payloads, so
-  // achieved_ratio() is the paper's raw/stored figure (600% == 6.0).
-  std::uint64_t emit_raw_bytes = 0;
-  std::uint64_t emit_stored_bytes = 0;
-  std::uint64_t datasets_compressed = 0;  ///< emitted through a codec
-  std::uint64_t datasets_stored_raw = 0;  ///< raw (no codec / adaptive skip)
-  double compress_seconds = 0.0;          ///< spare cycles spent in codecs
   Summary pipeline_time;               ///< seconds per completed iteration
 
   [[nodiscard]] double idle_fraction() const noexcept {
     const double total = idle_seconds + busy_seconds;
     return total > 0.0 ? idle_seconds / total : 0.0;
-  }
-
-  [[nodiscard]] double achieved_ratio() const noexcept {
-    return compress::compression_ratio(emit_raw_bytes, emit_stored_bytes);
   }
 };
 
@@ -113,10 +82,19 @@ class Server {
   /// kClientStop (and all their iterations have been completed).  With a
   /// worker pool, shutdown is ordered: the worker that consumes the final
   /// stop signals end_of_stream(), the pool drains and joins, and only
-  /// then are stats folded — no credit/queue teardown races a live worker.
+  /// then are the worker ledgers folded — no credit/queue teardown races
+  /// a live worker.
   void run();
 
-  [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
+  /// A copy taken under the state lock, so a read while the run is live
+  /// is race-free; idle/busy/events join it once run() returns.
+  [[nodiscard]] ServerStats stats() const;
+
+  /// Data-path counters of the underlying transport (remote payloads,
+  /// steals, idle drains, dead clients and what its reclaim freed).
+  [[nodiscard]] transport::TransportStats transport_stats() const {
+    return transport_->stats();
+  }
 
   /// The plugin instance bound to (event, plugin-name), for post-run
   /// inspection by tests and examples; nullptr when not bound.
@@ -129,8 +107,9 @@ class Server {
     std::unique_ptr<Plugin> plugin;
   };
 
-  /// Per-worker time/event ledger, folded into stats_ after the pool
-  /// joins so the hot loop never contends on shared counters.
+  /// Per-worker time/event ledger, folded into stats_ (under the then
+  /// uncontended state lock) after the pool joins, so the hot loop never
+  /// contends on shared counters.
   struct WorkerLedger {
     double idle_seconds = 0.0;
     double busy_seconds = 0.0;
@@ -164,20 +143,13 @@ class Server {
   int client_count_;
   int worker_count_;
   std::vector<BoundAction> actions_;
-  /// Deliberately NOT lock-annotated: the field has three owners in three
-  /// phases — the event counters mutate under state_mutex_, the storage /
-  /// emit counters mutate through PluginContext inside the pipeline (so
-  /// under pipeline_mutex_), and run() folds worker ledgers and transport
-  /// totals in after the pool has joined (quiescent, no lock).  No single
-  /// GUARDED_BY is true for all of it; the per-phase discipline above is
-  /// the invariant.
-  ServerStats stats_;
-  SampleSet pipeline_times_ DEDICORE_GUARDED_BY(state_mutex_);
+  ServerStats stats_ DEDICORE_GUARDED_BY(state_mutex_);
+  Histogram pipeline_times_ DEDICORE_GUARDED_BY(state_mutex_);
 
   /// Guards the cross-worker bookkeeping (iteration_closes_,
-  /// stopped_clients_, dead_clients_, the event counters in stats_,
-  /// pipeline_times_).  Never held across a plugin run, a transport call,
-  /// or pipeline_mutex_ — it is a leaf in the lock hierarchy.
+  /// stopped_clients_, dead_clients_, stats_, pipeline_times_).  Never
+  /// held across a plugin run, a transport call, or pipeline_mutex_ — it
+  /// is a leaf in the lock hierarchy.
   mutable Mutex state_mutex_{"server.state"};
   /// Serializes the plugin pipeline per server: workers parallelize event
   /// intake and indexing, but plugins are not required to be thread-safe,

@@ -140,7 +140,7 @@ class FileSystem {
   std::uint64_t bytes_written_ DEDICORE_GUARDED_BY(meta_mutex_) = 0;
   double total_write_time_sim_ DEDICORE_GUARDED_BY(meta_mutex_) = 0.0;
   double mds_busy_time_sim_ DEDICORE_GUARDED_BY(meta_mutex_) = 0.0;
-  SampleSet write_times_sim_ DEDICORE_GUARDED_BY(meta_mutex_);
+  Histogram write_times_sim_ DEDICORE_GUARDED_BY(meta_mutex_);
 
   /// Leaf lock around the shared heavy-tail RNG.
   mutable Mutex jitter_mutex_{"fsim.jitter"};

@@ -152,15 +152,15 @@ void ShmServerTransport::release(const shm::BlockRef& block) {
 }
 
 void ShmServerTransport::reclaim_client(int source) {
-  const std::vector<shm::BlockRef> orphans =
-      fabric_->ledger_take_outstanding(source);
+  const auto orphans = fabric_->ledger_take_outstanding(source);
+  if (!orphans) return;  // already reclaimed
   std::uint64_t bytes = 0;
-  for (const shm::BlockRef& block : orphans) {
+  for (const shm::BlockRef& block : *orphans) {
     bytes += block.size;
     fabric_->segment.deallocate(block);
   }
   clients_aborted_.fetch_add(1, std::memory_order_relaxed);
-  blocks_reclaimed_.fetch_add(orphans.size(), std::memory_order_relaxed);
+  blocks_reclaimed_.fetch_add(orphans->size(), std::memory_order_relaxed);
   bytes_reclaimed_.fetch_add(bytes, std::memory_order_relaxed);
 }
 

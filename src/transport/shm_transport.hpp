@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,6 +59,7 @@ struct ShmFabric {
     std::vector<shm::BlockRef> outstanding;  ///< acquired, not yet published
     std::uint64_t epoch = 0;                 ///< bumped per queue push
     bool dead = false;                       ///< epoch frozen by the monitor
+    bool reclaimed = false;                  ///< the server took `outstanding`
   };
   /// Leaf lock: every ledger_* method is a self-contained critical
   /// section — nothing is acquired while it is held.
@@ -93,12 +95,14 @@ struct ShmFabric {
     ledger.dead = true;
     return true;
   }
-  /// Takes (and clears) the dead client's outstanding blocks for reclaim.
-  std::vector<shm::BlockRef> ledger_take_outstanding(int client) {
+  /// Takes (and clears) the dead client's outstanding blocks for reclaim;
+  /// nullopt when the client was already reclaimed (idempotence).
+  std::optional<std::vector<shm::BlockRef>> ledger_take_outstanding(int client) {
     MutexLock lock(ledger_mutex);
-    auto it = ledgers.find(client);
-    if (it == ledgers.end()) return {};
-    return std::exchange(it->second.outstanding, {});
+    Ledger& ledger = ledgers[client];
+    if (ledger.reclaimed) return std::nullopt;
+    ledger.reclaimed = true;
+    return std::exchange(ledger.outstanding, {});
   }
 
   /// Closes every queue and unblocks segment waiters (shutdown path and

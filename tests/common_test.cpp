@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -208,21 +210,102 @@ TEST(SampleSetTest, MergeConcatenates) {
   EXPECT_EQ(a.size(), 3u);
 }
 
-TEST(HistogramTest, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(9.999);  // bin 9
-  h.add(10.0);   // overflow (half-open)
-  h.add(5.5);    // bin 5
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(5), 5.0);
-  EXPECT_FALSE(h.to_string().empty());
+// A heap buffer here would make every long-lived latency summary grow
+// with the run again.
+static_assert(std::is_trivially_copyable_v<Histogram>);
+
+/// Seeded latencies spanning about 1 us to 1 s (median 1 ms).
+std::vector<double> lognormal_latencies(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out.push_back(rng.lognormal(std::log(1e-3), 2.3));
+  return out;
+}
+
+void expect_within_relative(double got, double want, double tolerance,
+                            const char* what) {
+  EXPECT_LE(std::abs(got - want), tolerance * std::abs(want))
+      << what << ": histogram " << got << " vs exact " << want;
+}
+
+TEST(HistogramTest, SummaryMatchesExactSampleSet) {
+  Histogram h;
+  SampleSet exact;
+  for (double x : lognormal_latencies(41, 100000)) {
+    h.add(x);
+    exact.add(x);
+  }
+  const Summary got = h.summary();
+  const Summary want = exact.summary();
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  expect_within_relative(got.mean, want.mean, 1e-9, "mean");
+  expect_within_relative(got.stddev, want.stddev, 1e-9, "stddev");
+  expect_within_relative(got.p25, want.p25, 0.05, "p25");
+  expect_within_relative(got.median, want.median, 0.05, "median");
+  expect_within_relative(got.p75, want.p75, 0.05, "p75");
+  expect_within_relative(got.p90, want.p90, 0.05, "p90");
+  expect_within_relative(got.p99, want.p99, 0.05, "p99");
+}
+
+TEST(HistogramTest, MergeEqualsAddingBothSampleSets) {
+  Histogram a, b, all;
+  for (double x : lognormal_latencies(5, 5000)) {
+    a.add(x);
+    all.add(x);
+  }
+  for (double x : lognormal_latencies(6, 3000)) {
+    b.add(x);
+    all.add(x);
+  }
+  a.merge(b);
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
+    ASSERT_EQ(a.bucket(i), all.bucket(i)) << "bucket " << i;
+  const Summary merged = a.summary();
+  const Summary direct = all.summary();
+  EXPECT_EQ(merged.count, direct.count);
+  EXPECT_EQ(merged.min, direct.min);
+  EXPECT_EQ(merged.max, direct.max);
+  EXPECT_EQ(merged.median, direct.median);
+  EXPECT_EQ(merged.p99, direct.p99);
+  EXPECT_NEAR(merged.mean, direct.mean, 1e-12 * direct.mean);
+}
+
+TEST(HistogramTest, EmptyGivesZeroSummary) {
+  const Summary s = Histogram{}.summary();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.median, 0.0);
+  EXPECT_EQ(s.p99, 0.0);
+  EXPECT_EQ(s.max, 0.0);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.stddev, 0.0);
+}
+
+TEST(HistogramTest, OutOfRangeValuesLandInEdgeBuckets) {
+  constexpr std::size_t kLast = Histogram::kBuckets - 1;
+  const double floor = std::ldexp(1.0, Histogram::kMinExponent);
+  const double ceiling = std::ldexp(1.0, Histogram::kMaxExponent);
+  EXPECT_EQ(Histogram::bucket_of(0.0), 0u);
+  EXPECT_EQ(Histogram::bucket_of(-1.0), 0u);
+  EXPECT_EQ(Histogram::bucket_of(floor / 2), 0u);
+  EXPECT_EQ(Histogram::bucket_of(floor), 1u);
+  EXPECT_EQ(Histogram::bucket_of(std::nextafter(ceiling, 0.0)), kLast - 1);
+  EXPECT_EQ(Histogram::bucket_of(ceiling), kLast);
+  EXPECT_EQ(Histogram::bucket_of(1e300), kLast);
+
+  Histogram h;
+  for (double x : {0.0, -3.0, 1e-12, 1e9, 1e-3}) h.add(x);
+  EXPECT_EQ(h.bucket(0), 3u);
+  EXPECT_EQ(h.bucket(kLast), 1u);
+  const Summary s = h.summary();
+  EXPECT_EQ(s.count, 5u);
+  EXPECT_EQ(s.min, -3.0);  // exact, though its bucket has no bounds
+  EXPECT_EQ(s.max, 1e9);
+  EXPECT_EQ(s.p99, 1e9);   // the overflow bucket reports the exact max
+  EXPECT_EQ(s.median, -3.0);  // the underflow bucket reports the exact min
 }
 
 // ---------------------------------------------------------------------------

@@ -233,8 +233,11 @@ RunOutcome run_middleware(const Configuration& cfg, int nodes, int iterations,
     if (rt.is_server()) {
       rt.run_server();
       std::lock_guard<std::mutex> lock(mutex);
-      const ServerStats& stats = rt.server_stats();
-      outcome.server_bytes_written += stats.bytes_written;
+      const ServerStats stats = rt.server_stats();
+      const auto* store = dynamic_cast<const StorePlugin*>(
+          rt.server().find_plugin("end_iteration", "store"));
+      ASSERT_NE(store, nullptr);
+      outcome.server_bytes_written += store->totals().stored_bytes;
       outcome.server_iterations += stats.iterations_completed;
       outcome.client_skips += stats.client_skips;
       outcome.idle_fraction = stats.idle_fraction();
@@ -418,6 +421,30 @@ TEST(RuntimeTest, AdaptivePolicyShedsOnlyLowPriorityBlocks) {
   }
   EXPECT_EQ(precious_blocks, static_cast<std::uint64_t>(kIterations));
   EXPECT_EQ(bulk_blocks, 0u);
+}
+
+TEST(ClientTest, AdaptiveCommitShedsLowPriorityBlockOnFullChannel) {
+  // The zero-copy path must honour the adaptive policy exactly like
+  // write(): a priority-0 block refused by a full event channel is shed
+  // and counted, and the iteration is not skipped.
+  Configuration cfg = small_config();
+  cfg.set_buffer(8ull << 20, /*queue_capacity=*/1, BackpressurePolicy::kAdaptive);
+  cfg.validate();
+  auto node = std::make_shared<NodeRuntime>(cfg, 0, nullptr,
+                                            std::make_shared<GreedyScheduler>());
+  Client client(node, 0,
+                std::make_unique<transport::ShmClientTransport>(node->fabric, 0));
+  const auto field = make_field(1.0);
+  // No consumer: this write fills the one-slot channel.
+  ASSERT_OK(client.write("field", std::span<const double>(field)));
+  const AllocatedBlock block = client.alloc("field");
+  ASSERT_TRUE(block.valid());
+  EXPECT_FALSE(client.commit(block).is_ok());
+  EXPECT_EQ(client.stats().dropped_blocks, 1u);
+  EXPECT_FALSE(client.iteration_skipped());
+  // The client's destructor posts its stop; a closed queue refuses it
+  // instead of blocking on the full channel.
+  node->fabric->queues[0]->close();
 }
 
 TEST(ConfigTest, AdaptivePolicyParsesFromXml) {

@@ -411,6 +411,7 @@ std::string cores_death_xml(const std::string& path,
 
 struct DeathRunResult {
   core::ServerStats server;
+  transport::TransportStats transport;
   std::size_t files = 0;
   std::size_t iteration1_datasets = 0;
 };
@@ -429,6 +430,7 @@ DeathRunResult run_cores_death_world(const std::string& policy) {
     if (rt.is_server()) {
       rt.run_server();
       result.server = rt.server_stats();
+      result.transport = rt.server().transport_stats();
       return;
     }
     std::vector<double> field(8 * 8, 1.0 + comm.rank());
@@ -470,7 +472,7 @@ TEST(FaultEndToEndTest, ClientDeathReclaimIsDeterministicAcrossPolicies) {
     // The run terminated normally: the survivors closed every iteration
     // (the dead client is exempted from the close quorum), every image
     // drained to disk, nothing deadlocked.
-    EXPECT_EQ(r->server.clients_aborted, 1u);
+    EXPECT_EQ(r->transport.clients_aborted, 1u);
     EXPECT_EQ(r->server.iterations_completed,
               static_cast<std::uint64_t>(kIterations));
     EXPECT_EQ(r->files, static_cast<std::size_t>(kIterations));
@@ -533,11 +535,13 @@ TEST(FaultEndToEndTest, MpiClientDeathLosesStagedFrameAndRunCompletes) {
   fsim::FileSystem fs(fsim::StorageConfig{}, fsim::TimeScale{1e-4, 0.01});
 
   core::ServerStats server_stats;
+  transport::TransportStats transport_stats;
   minimpi::run_world(5, [&](minimpi::Comm& comm) {
     core::Runtime rt = core::Runtime::initialize(cfg, comm, fs);
     if (rt.is_server()) {
       rt.run_server();
       server_stats = rt.server_stats();
+      transport_stats = rt.server().transport_stats();
       return;
     }
     std::vector<double> field(8 * 8, 1.0 + comm.rank());
@@ -554,7 +558,7 @@ TEST(FaultEndToEndTest, MpiClientDeathLosesStagedFrameAndRunCompletes) {
     rt.finalize();
   });
 
-  EXPECT_EQ(server_stats.clients_aborted, 1u);
+  EXPECT_EQ(transport_stats.clients_aborted, 1u);
   EXPECT_EQ(server_stats.iterations_completed,
             static_cast<std::uint64_t>(kIterations));
 

@@ -111,8 +111,9 @@ TEST(IntegrationTest, Cm1ThroughDedicatedNodesEndToEnd) {
     Runtime rt = Runtime::initialize(cfg, world, fs);
     if (rt.is_server()) {
       rt.run_server();
-      remote_blocks += rt.server_stats().blocks_received_remote;
-      remote_bytes += rt.server_stats().bytes_received_remote;
+      const transport::TransportStats t = rt.server().transport_stats();
+      remote_blocks += t.blocks_received_remote;
+      remote_bytes += t.bytes_received_remote;
       return;
     }
     minimpi::Comm& clients = rt.client_comm();

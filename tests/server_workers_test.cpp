@@ -79,12 +79,14 @@ TEST(ServerWorkersTest, DedicatedNodesPoolCompletesEveryIteration) {
   fsim::FileSystem fs = make_fs();
 
   core::ServerStats server_stats;
+  transport::TransportStats transport_stats;
   std::vector<double> field(16 * 16, 0.25);
   minimpi::run_world(kClients + 1, [&](minimpi::Comm& comm) {
     core::Runtime rt = core::Runtime::initialize(cfg, comm, fs);
     if (rt.is_server()) {
       rt.run_server();
       server_stats = rt.server_stats();
+      transport_stats = rt.server().transport_stats();
       return;
     }
     for (int it = 0; it < kIterations; ++it) {
@@ -99,7 +101,7 @@ TEST(ServerWorkersTest, DedicatedNodesPoolCompletesEveryIteration) {
             static_cast<std::uint64_t>(kIterations));
   EXPECT_EQ(server_stats.blocks_received,
             static_cast<std::uint64_t>(kClients) * kIterations);
-  EXPECT_EQ(server_stats.blocks_received_remote,
+  EXPECT_EQ(transport_stats.blocks_received_remote,
             static_cast<std::uint64_t>(kClients) * kIterations);
   // Every event was consumed by some worker: blocks + per-client closes +
   // per-client stops.
@@ -157,12 +159,14 @@ TEST(ServerWorkersTest, CoresModePoolDrainsTheSharedQueue) {
   fsim::FileSystem fs = make_fs();
 
   core::ServerStats server_stats;
+  transport::TransportStats transport_stats;
   std::vector<double> field(8 * 8, 3.5);
   minimpi::run_world(4, [&](minimpi::Comm& comm) {
     core::Runtime rt = core::Runtime::initialize(cfg, comm, fs);
     if (rt.is_server()) {
       rt.run_server();
       server_stats = rt.server_stats();
+      transport_stats = rt.server().transport_stats();
       return;
     }
     for (int it = 0; it < kIterations; ++it) {
@@ -175,7 +179,7 @@ TEST(ServerWorkersTest, CoresModePoolDrainsTheSharedQueue) {
   EXPECT_EQ(server_stats.iterations_completed,
             static_cast<std::uint64_t>(kIterations));
   EXPECT_EQ(server_stats.blocks_received, 3u * kIterations);
-  EXPECT_EQ(server_stats.blocks_received_remote, 0u);  // zero-copy path
+  EXPECT_EQ(transport_stats.blocks_received_remote, 0u);  // zero-copy path
 }
 
 // ---------------------------------------------------------------------------

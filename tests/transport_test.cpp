@@ -715,7 +715,9 @@ TEST(TransportConformanceTest, ClientDeathMidIterationReclaimsAndSurvivorsComple
                   << "abort overtook an in-flight block of the dead client";
               // Reclaim FIRST (mark dead), then drop the partial
               // iteration — on mpi the credits for these blocks must be
-              // swallowed, not shipped to the corpse.
+              // swallowed, not shipped to the corpse.  The second call
+              // checks the contract's idempotence: one death, one count.
+              server.reclaim_client(event->source);
               server.reclaim_client(event->source);
               std::vector<shm::BlockRef> drop;
               {
@@ -1026,7 +1028,7 @@ void run_adaptive_policy_scenario(core::DedicatedMode mode) {
     core::Runtime rt = core::Runtime::initialize(cfg, comm, fs);
     if (rt.is_server()) {
       rt.run_server();
-      remote_blocks = rt.server_stats().blocks_received_remote;
+      remote_blocks = rt.server().transport_stats().blocks_received_remote;
       return;
     }
     core::Client& client = rt.client();
