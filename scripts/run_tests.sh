@@ -8,6 +8,7 @@
 #                                          # posix round-trips, write-behind
 #   scripts/run_tests.sh --asan          # AddressSanitizer build (separate build dir)
 #   scripts/run_tests.sh --tsan          # ThreadSanitizer build (separate build dir)
+#   scripts/run_tests.sh --ubsan         # UndefinedBehaviorSanitizer build; a finding fails
 #   scripts/run_tests.sh --faults        # fault-tolerance suites under 3 seeds
 #                                        # (DEDICORE_FAULT_SEED sweeps the
 #                                        # injector's probabilistic schedules)
@@ -36,6 +37,8 @@ while [[ $# -gt 0 ]]; do
       sanitize="address"; shift ;;
     --tsan)
       sanitize="thread"; shift ;;
+    --ubsan)
+      sanitize="undefined"; shift ;;
     --faults)
       faults="1"; shift ;;
     --thread-safety)
@@ -49,7 +52,7 @@ while [[ $# -gt 0 ]]; do
       [[ $# -ge 2 ]] || { echo "error: $1 needs a number" >&2; exit 2; }
       jobs="$2"; shift 2 ;;
     -h|--help)
-      sed -n '2,17p' "$0"; exit 0 ;;
+      sed -n '2,18p' "$0"; exit 0 ;;
     *)
       echo "error: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -104,6 +107,7 @@ if [[ -z "$build_dir" ]]; then
   case "$sanitize" in
     address) build_dir="$repo_root/build-asan" ;;
     thread)  build_dir="$repo_root/build-tsan" ;;
+    undefined) build_dir="$repo_root/build-ubsan" ;;
   esac
 fi
 

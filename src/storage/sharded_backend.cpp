@@ -1,6 +1,7 @@
 #include "storage/sharded_backend.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
@@ -45,6 +46,15 @@ std::string serialize_manifest(const ChunkPlan& plan) {
     out << "\n";
   }
   return out.str();
+}
+
+/// Parses all of `token` as one number in `base`: a stray character
+/// anywhere ("1x", "1c29g1a3") fails instead of truncating the value.
+template <typename T>
+bool parse_whole(std::string_view token, T* value, int base = 10) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *value, base);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Strict parse; false on any malformation (the caller treats a malformed
@@ -102,13 +112,13 @@ bool parse_manifest(const std::string& text, int root_count, ChunkPlan* out) {
               ? out->chunk_size
               : out->total_bytes - out->chunk_size * (chunks - 1);
       if (out->sizes[i] != expected_size) return false;
-      out->crcs[i] =
-          static_cast<std::uint32_t>(std::strtoul(hex.c_str(), nullptr, 16));
+      if (!parse_whole(hex, &out->crcs[i], 16)) return false;
       std::istringstream rs(roots);
       std::string item;
       while (std::getline(rs, item, ',')) {
-        const int root = std::atoi(item.c_str());
-        if (root < 0 || root >= root_count) return false;
+        int root = -1;
+        if (!parse_whole(item, &root) || root < 0 || root >= root_count)
+          return false;
         out->placements[i].roots.push_back(root);
       }
       if (out->placements[i].roots.empty()) return false;
@@ -470,7 +480,24 @@ Status ShardedBackend::read_image(const std::string& path,
   if (degraded != nullptr) *degraded = false;
   ChunkPlan plan;
   if (Status st = load_manifest(path, &plan); !st.is_ok()) return st;
-  out->assign(plan.total_bytes, std::byte{0});
+  // Size the output from the manifest only once every chunk has a copy of
+  // its planned size on disk (one stat per copy tried): a forged `size`
+  // must not drive the allocation, so no read allocates more than the
+  // bytes it found.  `unbacked` is the first chunk without such a copy;
+  // the loop below still reads it, so its error and its corrupt-copy
+  // count are the same as when the output is sized.
+  std::size_t unbacked = 0;
+  for (; unbacked < plan.chunk_count(); ++unbacked) {
+    const std::string name = chunk_name(path, unbacked);
+    const auto& roots = plan.placements[unbacked].roots;
+    if (std::none_of(roots.begin(), roots.end(), [&](int root) {
+          return roots_[static_cast<std::size_t>(root)]->file_size(name) ==
+                 plan.sizes[unbacked];
+        }))
+      break;
+  }
+  const bool sized = unbacked == plan.chunk_count();
+  if (sized) out->assign(plan.total_bytes, std::byte{0});
   for (std::size_t i = 0; i < plan.chunk_count(); ++i) {
     const std::string name = chunk_name(path, i);
     bool recovered = false;
@@ -489,9 +516,10 @@ Status ShardedBackend::read_image(const std::string& path,
         ++counters_.corrupt_chunks_detected;
         continue;
       }
-      std::copy(data->begin(), data->end(),
-                out->begin() +
-                    static_cast<std::ptrdiff_t>(plan.offset_of(i)));
+      if (sized)
+        std::copy(data->begin(), data->end(),
+                  out->begin() +
+                      static_cast<std::ptrdiff_t>(plan.offset_of(i)));
       if (root != plan.placements[i].roots.front()) {
         // Served past a missing/corrupt primary copy.
         if (degraded != nullptr) *degraded = true;
@@ -501,7 +529,9 @@ Status ShardedBackend::read_image(const std::string& path,
       recovered = true;
       break;
     }
-    if (!recovered) {
+    // An unbacked chunk that verifies now changed on disk after the stat;
+    // the output was never sized, so it fails like a lost chunk.
+    if (!recovered || i == unbacked) {
       out->clear();
       return Status::data_loss(
           "sharded: chunk " + std::to_string(i) + " of '" + path +

@@ -23,8 +23,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/baseline_io.hpp"
@@ -586,6 +588,77 @@ TEST(Crc32cTest, IncrementalExtendMatchesOneShot) {
   EXPECT_NE(storage::crc32c(copy), whole);
 }
 
+TEST(Crc32cTest, Rfc3720KnownAnswers) {
+  // RFC 3720 appendix B.4, checked against both the dispatched path and
+  // the portable table.
+  std::vector<std::byte> ascending(32);
+  std::vector<std::byte> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::byte>(i);
+    descending[i] = static_cast<std::byte>(31 - i);
+  }
+  const std::pair<std::vector<std::byte>, std::uint32_t> cases[] = {
+      {std::vector<std::byte>(32, std::byte{0x00}), 0x8A9136AAu},
+      {std::vector<std::byte>(32, std::byte{0xFF}), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu}};
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(storage::crc32c(bytes), want);
+    EXPECT_EQ(storage::crc32c_extend_portable(0, bytes), want);
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableTableOnUnalignedSpans) {
+  // Windows into one buffer: start offsets 0..7 put the 8-byte loads on
+  // every alignment, and lengths 0..64 KiB+63 give every tail length.
+  // Every short window is covered exhaustively, long ones by seeded draws;
+  // each case also starts from a random running CRC.
+  constexpr std::size_t kMaxLength = (64u << 10) + 63;
+  std::mt19937_64 rng(20261017);
+  std::vector<std::byte> buffer(kMaxLength + 8);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng());
+  const std::span<const std::byte> all(buffer);
+  std::uniform_int_distribution<std::size_t> length(0, kMaxLength);
+  std::size_t cases = 0;
+  auto check = [&](std::size_t offset, std::size_t n) {
+    const auto view = all.subspan(offset, n);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    ASSERT_EQ(storage::crc32c(view), storage::crc32c_extend_portable(0, view))
+        << "offset " << offset << " length " << n;
+    ASSERT_EQ(storage::crc32c_extend(seed, view),
+              storage::crc32c_extend_portable(seed, view))
+        << "offset " << offset << " length " << n << " seed " << seed;
+    ++cases;
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; n < 128; ++n) check(offset, n);
+  for (int i = 0; i < 1024; ++i) check(rng() % 8, length(rng));
+  check(7, kMaxLength);
+  EXPECT_GE(cases, 2000u);
+}
+
+TEST(Crc32cTest, ExtendAcrossRandomSplitsMatchesOneShot) {
+  std::mt19937_64 rng(3720);
+  std::vector<std::byte> buffer((64u << 10) + 63);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng());
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto view = std::span<const std::byte>(buffer).subspan(
+        rng() % 8, rng() % (buffer.size() - 7));
+    std::uint32_t crc = 0;
+    std::size_t pieces = 0;
+    for (std::size_t pos = 0; pos < view.size(); ++pieces) {
+      // Pieces of 0..4096 bytes: empty extends and odd cut points too.
+      const std::size_t n =
+          rng() % (std::min<std::size_t>(view.size() - pos, 4096) + 1);
+      crc = storage::crc32c_extend(crc, view.subspan(pos, n));
+      pos += n;
+    }
+    ASSERT_EQ(crc, storage::crc32c(view))
+        << "trial " << trial << ": " << view.size() << " bytes in " << pieces
+        << " pieces";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Placement layer
 // ---------------------------------------------------------------------------
@@ -802,25 +875,35 @@ struct CorruptionCase {
   void (*corrupt)(const std::filesystem::path& chunk);
 };
 
+void PrintTo(const CorruptionCase& c, std::ostream* os) { *os << c.name; }
+
+/// (corruption, chunk size): 512 B, and 96 KiB + 1 B so the verify path
+/// also checksums long, odd-length chunks.
 class ShardedCorruptionTest
-    : public ::testing::TestWithParam<CorruptionCase> {};
+    : public ::testing::TestWithParam<
+          std::tuple<CorruptionCase, std::uint64_t>> {};
 
 TEST_P(ShardedCorruptionTest, UnreplicatedCorruptionIsDataLoss) {
+  const auto& [corruption, chunk_size] = GetParam();
   testing::TempDir dir("sharded_corrupt");
   const auto roots = sharded_roots(dir);
   ShardedOptions opts;
-  opts.chunk_size = 512;
+  opts.chunk_size = chunk_size;
   ShardedBackend b(roots, opts);
-  const auto payload = pattern_bytes(1800, 7);
+  // 3.5 chunks: three full ones and a short tail.
+  const auto payload = pattern_bytes(chunk_size * 7 / 2, 7);
   ASSERT_OK(storage::write_image(b, "img.bin", payload));
 
   const auto copies = copies_of(roots, "img.bin.chunk-1");
   ASSERT_EQ(copies.size(), 1u);
-  GetParam().corrupt(copies.front());
+  corruption.corrupt(copies.front());
+  const bool deleted = !std::filesystem::exists(copies.front());
 
   std::vector<std::byte> back;
   const Status st = b.read_image("img.bin", &back);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+  // A damaged copy counts as corrupt; a missing one does not.
+  EXPECT_EQ(b.counters().corrupt_chunks_detected, deleted ? 0u : 1u);
   EXPECT_NE(st.message().find("chunk 1"), std::string::npos) << st.message();
   EXPECT_FALSE(b.read_file("img.bin").has_value());
   // The other chunks were untouched, so the error names chunk 1 and
@@ -830,7 +913,7 @@ TEST_P(ShardedCorruptionTest, UnreplicatedCorruptionIsDataLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corruptions, ShardedCorruptionTest,
-    ::testing::Values(
+    ::testing::Combine(::testing::Values(
         CorruptionCase{"bitflip_first_byte",
                        [](const std::filesystem::path& p) { flip_byte(p, 0); }},
         CorruptionCase{"bitflip_mid",
@@ -859,8 +942,10 @@ INSTANTIATE_TEST_SUITE_P(
                        [](const std::filesystem::path& p) {
                          std::filesystem::remove(p);
                        }}),
-    [](const ::testing::TestParamInfo<CorruptionCase>& info) {
-      return info.param.name;
+                       ::testing::Values<std::uint64_t>(512, (96u << 10) + 1)),
+    [](const ::testing::TestParamInfo<ShardedCorruptionTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param).name) + "_chunk" +
+             std::to_string(std::get<1>(info.param));
     });
 
 TEST(ShardedBackendTest, CorruptManifestIsDataLossNotGarbage) {
@@ -1052,6 +1137,53 @@ TEST(ShardedBackendTest, InconsistentManifestChunkSizesAreRejectedSafely) {
              "replication 1\n"
              "chunks 18446744073709551615\n");
   EXPECT_EQ(b.read_image("img.bin", &back).code(), StatusCode::kDataLoss);
+
+  // Consistent in itself, but it names a 2^50-byte chunk no root holds: the
+  // output must not be sized from `size` before the chunks are found on
+  // disk, or the read ends the process on bad_alloc.  open() stages the
+  // image through the same read.
+  write_text(manifests.front(),
+             "dedicore-sharded-manifest v2\n"
+             "generation 7\n"
+             "size 1125899906842624\n"
+             "chunk_size 1125899906842624\n"
+             "replication 1\n"
+             "chunks 1\n"
+             "chunk 0 1125899906842624 00000000 0\n");
+  EXPECT_EQ(b.read_image("img.bin", &back).code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(back.empty());
+  FileHandle f;
+  EXPECT_EQ(b.open("img.bin", &f).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(b.open_handles(), 0u);
+}
+
+TEST(ShardedBackendTest, NonHexManifestCrcFallsThroughToTheIntactCopy) {
+  // A manifest copy whose CRC field has a non-hex digit is malformed.  If
+  // it parsed up to the bad digit instead, the damaged copy on the lower
+  // root would win the equal-generation tie, and every healthy copy of
+  // chunk 0 would then fail that wrong checksum.
+  testing::TempDir dir("sharded_nonhex_crc");
+  const auto roots = sharded_roots(dir, 3);
+  ShardedOptions opts;
+  opts.chunk_size = 512;
+  opts.replication = 2;
+  ShardedBackend b(roots, opts);
+  const auto payload = pattern_bytes(1800, 11);
+  ASSERT_OK(storage::write_image(b, "img.bin", payload));
+  const auto manifests = copies_of(roots, "img.bin.manifest");
+  ASSERT_EQ(manifests.size(), 2u);
+
+  std::string text = read_text(manifests.front());
+  const std::string chunk0 = "\nchunk 0 512 ";
+  const std::size_t at = text.find(chunk0);
+  ASSERT_NE(at, std::string::npos) << text;
+  text[at + chunk0.size() + 7] = 'g';  // last digit of chunk 0's CRC
+  write_text(manifests.front(), text);
+
+  std::vector<std::byte> back;
+  ASSERT_OK(b.read_image("img.bin", &back));
+  EXPECT_EQ(back, payload);
+  EXPECT_EQ(b.counters().corrupt_chunks_detected, 1u);
 }
 
 TEST(ShardedBackendTest, PwriteOverflowingOffsetIsRejected) {
