@@ -16,15 +16,13 @@
 # committed full-run trajectory (smoke throughput is noise-dominated; only
 # its structural assertions are comparable).
 #
-# Since PR 6 each run object also carries a "compression" section: twin
-# CM1 runs (raw vs xor+lzs) through the real emit pipeline onto real disk
-# — bytes-to-disk, achieved ratio, and spare-time utilization.
-#
-# Since PR 7 the worker-scaling section records its measurement mode
-# (wall_clock on >= 4-core hosts, modeled otherwise) and a
-# "skewed_clients" section compares pinned vs. work-stealing pools under
-# a hot-client mix, with a posix twin proving parked workers drained the
-# write-behind queue.
+# Every number is a wall-clock measurement of the real code.  A full run
+# needs at least 4 hardware threads (the worker-pool, stealing and
+# multi-root sections measure parallel hardware) and exits with status 2
+# on a narrower host; --smoke runs anywhere.  The "mode" fields of the
+# pool and multi-root sections read "wall_clock"; older trajectory points
+# that read "modeled" came from a virtual-clock fallback that is gone, so
+# compare a point only with points of the same mode.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -1,6 +1,9 @@
 #include "common/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/status.hpp"
 
@@ -20,7 +23,20 @@ const std::vector<std::string_view> kKnownPoints = {
 
 }  // namespace
 
-FaultInjector::FaultInjector(std::uint64_t seed) noexcept : rng_(seed) {}
+FaultInjector::FaultInjector(std::uint64_t seed) noexcept
+    : rng_(seed), seed_(seed) {}
+
+std::uint64_t effective_seed(std::uint64_t plan_seed) {
+  const char* env = std::getenv("DEDICORE_FAULT_SEED");
+  if (env == nullptr || *env == '\0') return plan_seed;
+  const char* end = env + std::strlen(env);
+  std::uint64_t seed = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, seed);
+  if (ec != std::errc() || ptr != end)
+    throw ConfigError(std::string("DEDICORE_FAULT_SEED='") + env +
+                      "' is not a whole decimal 64-bit unsigned integer");
+  return seed;
+}
 
 bool FaultInjector::known_point(std::string_view point) noexcept {
   return std::find(kKnownPoints.begin(), kKnownPoints.end(), point) !=

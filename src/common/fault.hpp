@@ -72,6 +72,9 @@ class FaultInjector {
  public:
   explicit FaultInjector(std::uint64_t seed = 0) noexcept;
 
+  /// The seed the probabilistic gates were seeded with.
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
+
   /// Arms a fault.  Throws ConfigError on an unknown point name or an
   /// out-of-range probability.  Thread-safe, but typically called once at
   /// configuration time.
@@ -111,6 +114,14 @@ class FaultInjector {
   std::vector<Armed> specs_ DEDICORE_GUARDED_BY(mutex_);
   Rng rng_ DEDICORE_GUARDED_BY(mutex_);
   std::atomic<int> armed_count_{0};
+  std::uint64_t seed_;
 };
+
+/// The seed a configured fault plan runs with: DEDICORE_FAULT_SEED when it
+/// is set and non-empty (the CI fault matrix sweeps seeds without editing
+/// the XML plan), `plan_seed` otherwise.  Throws ConfigError unless a set
+/// value is a whole decimal u64, so a typo cannot silently sweep the wrong
+/// seed.
+std::uint64_t effective_seed(std::uint64_t plan_seed);
 
 }  // namespace dedicore::fault

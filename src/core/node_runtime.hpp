@@ -12,7 +12,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -52,14 +51,10 @@ struct NodeRuntime {
         fs(fs_in),
         scheduler(std::move(sched)) {
     // One seeded injector per node, shared by every component with an
-    // injection point; null (all probes skipped) on healthy runs.  The
-    // seed can be overridden by DEDICORE_FAULT_SEED for the CI fault
-    // matrix without editing the XML plan.
+    // injection point; null (all probes skipped) on healthy runs.
     if (!config.faults().empty()) {
-      std::uint64_t seed = config.faults().seed;
-      if (const char* env = std::getenv("DEDICORE_FAULT_SEED"))
-        seed = std::strtoull(env, nullptr, 10);
-      faults = std::make_shared<fault::FaultInjector>(seed);
+      faults = std::make_shared<fault::FaultInjector>(
+          fault::effective_seed(config.faults().seed));
       for (const auto& spec : config.faults().faults) faults->arm(spec);
     }
     switch (role) {

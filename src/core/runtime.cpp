@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "common/fault.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
 #include "transport/mpi_transport.hpp"
@@ -205,6 +206,11 @@ Runtime Runtime::initialize(const Configuration& config, minimpi::Comm& world,
                             fsim::FileSystem& fs,
                             std::shared_ptr<IoScheduler> scheduler) {
   config.validate();
+  // Every rank checks the fault-seed override before the first collective:
+  // a malformed value then fails the whole world, not just the ranks that
+  // build a NodeRuntime while their peers wait in share_over.
+  if (!config.faults().empty())
+    (void)fault::effective_seed(config.faults().seed);
 
   // Global scheduler: built by world rank 0 unless provided.
   if (world.rank() == 0 && scheduler == nullptr)

@@ -73,70 +73,4 @@ double QueueServer::submit(double now, double service) {
   return busy_until_;
 }
 
-// ---------------------------------------------------------------------------
-// SharedLink
-// ---------------------------------------------------------------------------
-
-SharedLink::SharedLink(double bandwidth) : bandwidth_(bandwidth) {
-  DEDICORE_CHECK(bandwidth > 0.0, "SharedLink bandwidth must be > 0");
-}
-
-double SharedLink::rate_per_flow() const noexcept {
-  if (flows_.empty()) return 0.0;
-  return bandwidth_ * factor_ / static_cast<double>(flows_.size());
-}
-
-void SharedLink::advance_to(double now) {
-  DEDICORE_CHECK(now >= now_ - 1e-12, "SharedLink: time went backwards");
-  if (now <= now_) return;
-  const double dt = now - now_;
-  if (!flows_.empty()) {
-    const double drained = rate_per_flow() * dt;
-    for (auto& [id, remaining] : flows_) {
-      const double served = std::min(remaining, drained);
-      remaining -= served;
-      bytes_served_ += served;
-    }
-    busy_time_ += dt;
-  }
-  now_ = now;
-}
-
-SharedLink::FlowId SharedLink::submit(double now, double bytes) {
-  DEDICORE_CHECK(bytes > 0.0, "SharedLink: flow must carry bytes");
-  advance_to(now);
-  const FlowId id = next_id_++;
-  flows_.emplace(id, bytes);
-  return id;
-}
-
-double SharedLink::next_completion_time() const {
-  if (flows_.empty()) return kNever;
-  double least = std::numeric_limits<double>::infinity();
-  for (const auto& [id, remaining] : flows_) least = std::min(least, remaining);
-  return now_ + least / rate_per_flow();
-}
-
-std::vector<SharedLink::FlowId> SharedLink::complete_at(double t) {
-  advance_to(t);
-  std::vector<FlowId> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    // Byte-scale epsilon: generous enough that a remainder too small to
-    // advance virtual time still counts as finished.
-    if (it->second <= 1e-3) {
-      done.push_back(it->first);
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return done;
-}
-
-void SharedLink::set_bandwidth_factor(double factor) {
-  DEDICORE_CHECK(factor > 0.0 && factor <= 1.0,
-                 "SharedLink: bandwidth factor must be in (0,1]");
-  factor_ = factor;
-}
-
 }  // namespace dedicore::fsim

@@ -17,9 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <map>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -121,56 +118,6 @@ class QueueServer {
   double busy_until_ = 0.0;
   std::uint64_t operations_ = 0;
   double total_wait_ = 0.0;
-};
-
-/// Virtual-time processor-sharing server: concurrent flows share the
-/// bandwidth equally (the standard model of an OST or network link).
-///
-/// Usage from a discrete-event loop:
-///   advance_to(now); id = submit(now, bytes);
-///   ... t = next_completion_time(); completed = complete_at(t); ...
-class SharedLink {
- public:
-  using FlowId = std::uint64_t;
-  static constexpr double kNever = std::numeric_limits<double>::infinity();
-
-  explicit SharedLink(double bandwidth);
-
-  /// Moves virtual time forward, draining remaining bytes at the current
-  /// fair-share rates.  `now` must be >= the current time.
-  void advance_to(double now);
-
-  /// Registers a flow of `bytes` at time `now` (implies advance_to(now)).
-  FlowId submit(double now, double bytes);
-
-  /// Time at which the next active flow finishes, assuming no further
-  /// arrivals; kNever when idle.
-  [[nodiscard]] double next_completion_time() const;
-
-  /// Advances to `t` (which must equal next_completion_time()) and returns
-  /// the flows that finish there.
-  std::vector<FlowId> complete_at(double t);
-
-  /// Scales the effective bandwidth (interference); takes effect from the
-  /// current virtual time.
-  void set_bandwidth_factor(double factor);
-
-  [[nodiscard]] std::size_t active_flows() const noexcept { return flows_.size(); }
-  [[nodiscard]] double now() const noexcept { return now_; }
-  /// Cumulative time with at least one active flow (utilization numerator).
-  [[nodiscard]] double busy_time() const noexcept { return busy_time_; }
-  [[nodiscard]] double bytes_served() const noexcept { return bytes_served_; }
-
- private:
-  [[nodiscard]] double rate_per_flow() const noexcept;
-
-  double bandwidth_;
-  double factor_ = 1.0;
-  double now_ = 0.0;
-  double busy_time_ = 0.0;
-  double bytes_served_ = 0.0;
-  FlowId next_id_ = 1;
-  std::map<FlowId, double> flows_;  // id -> remaining bytes
 };
 
 }  // namespace dedicore::fsim

@@ -42,11 +42,7 @@ double SimStorage::rate_per_flow(const Link& link) const noexcept {
 void SimStorage::advance(Link& link) {
   const double now = engine_.now();
   const double dt = now - link.last_update;
-  if (dt > 0.0 && !link.flows.empty()) {
-    const double drained = rate_per_flow(link) * dt;
-    for (auto& [id, flow] : link.flows)
-      flow.remaining = std::max(0.0, flow.remaining - drained);
-  }
+  if (dt > 0.0 && !link.flows.empty()) link.served += rate_per_flow(link) * dt;
   link.last_update = now;
 }
 
@@ -57,9 +53,7 @@ void SimStorage::reschedule(int ost) {
     link.pending_completion = des::kInvalidEvent;
   }
   if (link.flows.empty()) return;
-  double least = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : link.flows)
-    least = std::min(least, flow.remaining);
+  const double least = link.flows.begin()->first - link.served;
   // Flows at/below the epsilon complete immediately; on_link_completion
   // erases them, so progress is guaranteed.
   const double delay =
@@ -73,22 +67,23 @@ void SimStorage::on_link_completion(int ost) {
   link.pending_completion = des::kInvalidEvent;
   advance(link);
 
-  std::vector<std::uint64_t> finished_requests;
-  for (auto it = link.flows.begin(); it != link.flows.end();) {
-    if (it->second.remaining <= kRemainingEpsilon) {
-      finished_requests.push_back(it->second.request);
-      it = link.flows.erase(it);
-    } else {
-      ++it;
-    }
+  std::vector<Flow> finished;
+  while (!link.flows.empty() &&
+         link.flows.begin()->first - link.served <= kRemainingEpsilon) {
+    finished.push_back(link.flows.begin()->second);
+    link.flows.erase(link.flows.begin());
   }
-  DEDICORE_CHECK(active_chunks_ >= finished_requests.size(),
+  if (link.flows.empty()) link.served = 0.0;
+  // Completion callbacks fire in flow-id (submission) order.
+  std::sort(finished.begin(), finished.end(),
+            [](const Flow& a, const Flow& b) { return a.id < b.id; });
+  DEDICORE_CHECK(active_chunks_ >= finished.size(),
                  "SimStorage: chunk accounting underflow");
-  active_chunks_ -= finished_requests.size();
-  if (active_chunks_ == 0 && !finished_requests.empty())
+  active_chunks_ -= finished.size();
+  if (active_chunks_ == 0 && !finished.empty())
     busy_span_ += engine_.now() - busy_since_;
-  for (std::uint64_t rid : finished_requests) {
-    auto it = requests_.find(rid);
+  for (const Flow& flow : finished) {
+    auto it = requests_.find(flow.request);
     DEDICORE_CHECK(it != requests_.end(), "SimStorage: orphan flow");
     if (--it->second.chunks_left == 0) {
       const double duration = engine_.now() - it->second.start;
@@ -99,7 +94,7 @@ void SimStorage::on_link_completion(int ost) {
       if (done) done(duration);
     }
   }
-  if (active_chunks_ == 0 && !finished_requests.empty()) {  // burst closed
+  if (active_chunks_ == 0 && !finished.empty()) {  // burst closed
     bursts_.push_back(
         Burst{busy_since_, engine_.now() - busy_since_, burst_bytes_});
   }
@@ -137,10 +132,8 @@ void SimStorage::write(std::vector<std::pair<int, double>> chunks,
     // Interference steals a share of the OST for the whole transfer; model
     // it as byte inflation sampled from the process state at submit time.
     const double avail = link.interference.available_fraction(now);
-    Flow flow;
-    flow.remaining = bytes * factor / std::max(avail, 0.05);
-    flow.request = rid;
-    link.flows.emplace(next_flow_id_++, flow);
+    link.flows.emplace(link.served + bytes * factor / std::max(avail, 0.05),
+                       Flow{next_flow_id_++, rid});
     reschedule(ost);
   }
 }

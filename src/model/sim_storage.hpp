@@ -75,12 +75,16 @@ class SimStorage {
 
  private:
   struct Flow {
-    double remaining = 0.0;
+    std::uint64_t id = 0;
     std::uint64_t request = 0;
   };
 
   struct Link {
-    std::map<std::uint64_t, Flow> flows;  // flow id -> state
+    /// Every flow on a link drains at the same rate, so one cumulative
+    /// count of bytes served per flow advances them all: a flow finishes
+    /// when `served` reaches its mark (`served` at submit + its bytes).
+    std::multimap<double, Flow> flows;  // finish mark -> flow
+    double served = 0.0;  ///< reset whenever the link empties
     double last_update = 0.0;
     des::EventId pending_completion = des::kInvalidEvent;
     fsim::InterferenceProcess interference;

@@ -86,23 +86,22 @@ bool parse_manifest(const std::string& text, int root_count, ChunkPlan* out) {
     if (replication < 1 ||
         replication > static_cast<std::uint64_t>(root_count))
       return false;
-    // The chunk count is fully determined by size/chunk_size; checking it
-    // before the resizes bounds the allocations below.
+    // The chunk count is fully determined by size/chunk_size.
     const std::uint64_t expected_chunks =
         out->total_bytes == 0
             ? 0
             : (out->total_bytes - 1) / out->chunk_size + 1;
     if (chunks != expected_chunks) return false;
     out->replication = static_cast<int>(replication);
-    out->sizes.resize(chunks);
-    out->crcs.resize(chunks);
-    out->placements.resize(chunks);
+    // The vectors grow one parsed chunk line at a time, so a forged count
+    // costs memory in proportion to the manifest text, not to the count.
     for (std::uint64_t i = 0; i < chunks; ++i) {
       if (!std::getline(in, line)) return false;
       std::istringstream ls(line);
       std::string tag, hex, roots;
-      std::uint64_t index = 0;
-      if (!(ls >> tag >> index >> out->sizes[i] >> hex >> roots)) return false;
+      std::uint64_t index = 0, size = 0;
+      std::uint32_t crc = 0;
+      if (!(ls >> tag >> index >> size >> hex >> roots)) return false;
       if (tag != "chunk" || index != i || hex.size() != 8) return false;
       // Every chunk is exactly chunk_size except the tail, which carries
       // the remainder: reads copy sizes[i] bytes at offset chunk_size*i,
@@ -111,17 +110,21 @@ bool parse_manifest(const std::string& text, int root_count, ChunkPlan* out) {
           i + 1 < chunks
               ? out->chunk_size
               : out->total_bytes - out->chunk_size * (chunks - 1);
-      if (out->sizes[i] != expected_size) return false;
-      if (!parse_whole(hex, &out->crcs[i], 16)) return false;
+      if (size != expected_size) return false;
+      if (!parse_whole(hex, &crc, 16)) return false;
+      ChunkPlacement placement;
       std::istringstream rs(roots);
       std::string item;
       while (std::getline(rs, item, ',')) {
         int root = -1;
         if (!parse_whole(item, &root) || root < 0 || root >= root_count)
           return false;
-        out->placements[i].roots.push_back(root);
+        placement.roots.push_back(root);
       }
-      if (out->placements[i].roots.empty()) return false;
+      if (placement.roots.empty()) return false;
+      out->sizes.push_back(size);
+      out->crcs.push_back(crc);
+      out->placements.push_back(std::move(placement));
     }
     return true;
   } catch (const std::exception&) {

@@ -20,7 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -181,6 +185,95 @@ TEST(FaultConfigTest, RejectsTyposLoudly) {
   EXPECT_THROW(core::Configuration::from_string(config_with(
                    "|<storage retries=\"0\"/>")),
                ConfigError);
+}
+
+/// Sets an environment variable for one scope and restores whatever the
+/// process had before (the CI fault matrix sets DEDICORE_FAULT_SEED for
+/// this whole suite).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.has_value())
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(FaultSeedTest, OverrideMustBeAWholeDecimalU64) {
+  for (const char* bad : {"12x", "abc", "-1", "+1", " 12", "0x10",
+                          "18446744073709551616"}) {
+    ScopedEnv env("DEDICORE_FAULT_SEED", bad);
+    EXPECT_THROW((void)fault::effective_seed(42), ConfigError) << bad;
+  }
+  {
+    ScopedEnv env("DEDICORE_FAULT_SEED", "");
+    EXPECT_EQ(fault::effective_seed(42), 42u);
+  }
+  ScopedEnv env("DEDICORE_FAULT_SEED", "18446744073709551615");
+  EXPECT_EQ(fault::effective_seed(42), UINT64_MAX);
+}
+
+/// 1 client + 1 dedicated core with an armed plan that never fires.
+core::Configuration seeded_plan_config() {
+  return core::Configuration::from_string(R"(
+    <simulation name="seeded" cores_per_node="2" dedicated_cores="1">
+      <buffer size="1MiB" queue="64"/>
+      <data><layout name="g" type="float64" dimensions="4"/>
+            <variable name="v" layout="g"/></data>
+      <faults seed="42">
+        <fault point="client.die" target="7" after="1000"/>
+      </faults>
+    </simulation>)");
+}
+
+TEST(FaultSeedTest, MalformedOverrideFailsEveryRankBeforeWiring) {
+  // If only the rank building the node's shared state threw, its peer
+  // would wait forever in the handoff; every rank must refuse, and the
+  // world must return.
+  ScopedEnv env("DEDICORE_FAULT_SEED", "12x");
+  const core::Configuration cfg = seeded_plan_config();
+  fsim::FileSystem fs(fsim::StorageConfig{}, fsim::TimeScale{1e-4, 0.01});
+  std::atomic<int> refused{0};
+  minimpi::run_world(2, [&](minimpi::Comm& comm) {
+    try {
+      core::Runtime rt = core::Runtime::initialize(cfg, comm, fs);
+      if (rt.is_server())
+        rt.run_server();
+      else
+        rt.finalize();
+    } catch (const ConfigError&) {
+      refused.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(refused.load(), 2);
+}
+
+TEST(FaultSeedTest, EmptyOverrideRunsThePlansOwnSeed) {
+  ScopedEnv env("DEDICORE_FAULT_SEED", "");
+  const core::Configuration cfg = seeded_plan_config();
+  fsim::FileSystem fs(fsim::StorageConfig{}, fsim::TimeScale{1e-4, 0.01});
+  std::atomic<int> planned{0};
+  minimpi::run_world(2, [&](minimpi::Comm& comm) {
+    core::Runtime rt = core::Runtime::initialize(cfg, comm, fs);
+    if (rt.node().faults != nullptr && rt.node().faults->seed() == 42)
+      planned.fetch_add(1);
+    if (rt.is_server())
+      rt.run_server();
+    else
+      rt.finalize();
+  });
+  EXPECT_EQ(planned.load(), 2);
 }
 
 // ---------------------------------------------------------------------------

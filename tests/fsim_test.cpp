@@ -1,5 +1,5 @@
 // Tests for the parallel-filesystem model: virtual-time primitives
-// (QueueServer, SharedLink, InterferenceProcess, JitterModel) and the
+// (QueueServer, InterferenceProcess, JitterModel) and the
 // real-thread FileSystem adapter (contention, MDS serialization, content
 // round-trips).
 #include <gtest/gtest.h>
@@ -79,78 +79,6 @@ TEST(QueueServerTest, IdleServerStartsImmediately) {
   // Arrival after the server went idle: no queueing.
   EXPECT_DOUBLE_EQ(mds.submit(5.0, 0.02), 5.02);
   EXPECT_NEAR(mds.total_queue_wait(), 0.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
-// SharedLink (virtual-time processor sharing)
-// ---------------------------------------------------------------------------
-
-TEST(SharedLinkTest, SingleFlowRunsAtFullBandwidth) {
-  SharedLink link(100.0);  // 100 B/s
-  link.submit(0.0, 50.0);
-  EXPECT_DOUBLE_EQ(link.next_completion_time(), 0.5);
-  auto done = link.complete_at(0.5);
-  EXPECT_EQ(done.size(), 1u);
-  EXPECT_EQ(link.active_flows(), 0u);
-  EXPECT_DOUBLE_EQ(link.bytes_served(), 50.0);
-}
-
-TEST(SharedLinkTest, TwoFlowsShareFairly) {
-  SharedLink link(100.0);
-  link.submit(0.0, 100.0);
-  link.submit(0.0, 100.0);
-  // Each gets 50 B/s -> both complete at t=2.
-  EXPECT_DOUBLE_EQ(link.next_completion_time(), 2.0);
-  EXPECT_EQ(link.complete_at(2.0).size(), 2u);
-}
-
-TEST(SharedLinkTest, LateArrivalSlowsEarlierFlow) {
-  SharedLink link(100.0);
-  link.submit(0.0, 100.0);      // alone it would finish at t=1
-  link.submit(0.5, 100.0);      // halves the rate from t=0.5
-  // First flow: 50 bytes left at t=0.5, draining at 50 B/s -> t=1.5.
-  EXPECT_NEAR(link.next_completion_time(), 1.5, 1e-9);
-  auto done = link.complete_at(1.5);
-  EXPECT_EQ(done.size(), 1u);
-  // Second flow: 50 bytes left, now alone at 100 B/s -> t=2.0.
-  EXPECT_NEAR(link.next_completion_time(), 2.0, 1e-9);
-}
-
-TEST(SharedLinkTest, BandwidthFactorScalesRate) {
-  SharedLink link(100.0);
-  link.set_bandwidth_factor(0.5);
-  link.submit(0.0, 50.0);
-  EXPECT_DOUBLE_EQ(link.next_completion_time(), 1.0);
-}
-
-TEST(SharedLinkTest, BusyTimeAccumulatesOnlyWhenActive) {
-  SharedLink link(100.0);
-  link.advance_to(5.0);  // idle
-  EXPECT_DOUBLE_EQ(link.busy_time(), 0.0);
-  link.submit(5.0, 100.0);
-  link.complete_at(6.0);
-  EXPECT_DOUBLE_EQ(link.busy_time(), 1.0);
-}
-
-TEST(SharedLinkTest, IdleLinkReportsNever) {
-  SharedLink link(10.0);
-  EXPECT_EQ(link.next_completion_time(), SharedLink::kNever);
-}
-
-TEST(SharedLinkTest, TinyResidualsComplete) {
-  // Regression for the stuck-completion bug: sub-epsilon residuals caused
-  // by floating-point drain error must still finish.
-  SharedLink link(45e6);
-  link.submit(0.0, 43e6);
-  link.submit(1e-7, 43e6);
-  double t = 0;
-  int completed = 0;
-  for (int guard = 0; guard < 16 && completed < 2; ++guard) {
-    t = link.next_completion_time();
-    ASSERT_NE(t, SharedLink::kNever);
-    completed += static_cast<int>(link.complete_at(t).size());
-  }
-  EXPECT_EQ(completed, 2);
 }
 
 // ---------------------------------------------------------------------------

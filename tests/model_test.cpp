@@ -56,6 +56,23 @@ TEST(SimStorageTest, ConcurrentFlowsShareAnOst) {
   EXPECT_NEAR(durations[1], 2.0, 1e-6);
 }
 
+TEST(SimStorageTest, LateArrivalSlowsEarlierFlow) {
+  // The first write is alone for 0.5 s (50 MB done), then shares the OST:
+  // its last 50 MB drain at 50 MB/s, ending at t = 1.5.  The late write
+  // gets the same 50 MB by then and finishes alone at t = 2.0.
+  des::Engine engine;
+  SimStorage storage(engine, quiet_storage(), 0.0);
+  std::vector<double> durations;
+  storage.write({{0, 100e6}}, [&](double d) { durations.push_back(d); });
+  engine.schedule_at(0.5, [&] {
+    storage.write({{0, 100e6}}, [&](double d) { durations.push_back(d); });
+  });
+  engine.run();
+  ASSERT_EQ(durations.size(), 2u);
+  EXPECT_NEAR(durations[0], 1.5, 1e-9);
+  EXPECT_NEAR(durations[1], 1.5, 1e-9);
+}
+
 TEST(SimStorageTest, CongestionDegradesSharedBandwidth) {
   // With alpha > 0, n flows drain slower than B/n each.
   des::Engine engine;

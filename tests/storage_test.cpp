@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <random>
 #include <span>
 #include <thread>
@@ -41,6 +42,41 @@
 #include "storage/sharded_backend.hpp"
 #include "storage/sim_backend.hpp"
 #include "storage/write_behind.hpp"
+
+// Every non-aligned form of the global operator new / delete, forwarding to
+// malloc / free, so a test can record the largest single request made on
+// its own thread (replacing only the scalar pair would mix allocators).
+namespace {
+thread_local bool t_track_new = false;
+thread_local std::size_t t_largest_new = 0;
+
+void* tracked_malloc(std::size_t size) noexcept {
+  if (t_track_new && size > t_largest_new) t_largest_new = size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* tracked_new(std::size_t size) {
+  if (void* p = tracked_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return tracked_new(size); }
+void* operator new[](std::size_t size) { return tracked_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return tracked_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return tracked_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace dedicore {
 namespace {
@@ -1155,6 +1191,35 @@ TEST(ShardedBackendTest, InconsistentManifestChunkSizesAreRejectedSafely) {
   FileHandle f;
   EXPECT_EQ(b.open("img.bin", &f).code(), StatusCode::kDataLoss);
   EXPECT_EQ(b.open_handles(), 0u);
+}
+
+TEST(ShardedBackendTest, ForgedChunkCountCostsMemoryByManifestText) {
+  testing::TempDir dir("sharded_forged_count");
+  const auto roots = sharded_roots(dir);
+  ShardedOptions opts;
+  opts.chunk_size = 100;
+  ShardedBackend b(roots, opts);
+  ASSERT_OK(storage::write_image(b, "img.bin", pattern_bytes(100, 6)));
+  const auto manifests = copies_of(roots, "img.bin.manifest");
+  ASSERT_EQ(manifests.size(), 1u);
+
+  // Consistent in itself (chunks = ceil(size / chunk_size)) but without
+  // any of its 2^20 chunk lines: per-chunk vectors sized from the count
+  // before a line is read would make a 24 MiB request for six lines.
+  write_text(manifests.front(),
+             "dedicore-sharded-manifest v2\n"
+             "generation 7\n"
+             "size 1048576\n"
+             "chunk_size 1\n"
+             "replication 1\n"
+             "chunks 1048576\n");
+  std::vector<std::byte> back;
+  t_largest_new = 0;
+  t_track_new = true;
+  const StatusCode code = b.read_image("img.bin", &back).code();
+  t_track_new = false;
+  EXPECT_EQ(code, StatusCode::kDataLoss);
+  EXPECT_LT(t_largest_new, 64u * 1024);
 }
 
 TEST(ShardedBackendTest, NonHexManifestCrcFallsThroughToTheIntactCopy) {
